@@ -33,12 +33,14 @@
 //                       scoring must also stay within the 2-point
 //                       overhead_pct gate.
 //   "introspect_overhead" - same A/B for the live introspection plane
-//                       (src/obs/expose + timeseries): the on-side server
-//                       runs the /metrics endpoint, a 10 ms time-series
-//                       sampler, AND a client hammering /metrics scrapes
-//                       throughout its bursts — worse than any real scrape
-//                       cadence — and must stay within the same 2-point
-//                       overhead_pct gate.
+//                       (src/obs/expose): the on-side server runs the
+//                       /metrics endpoint AND a client scraping it every
+//                       100 ms throughout its bursts — hotter than any real
+//                       scrape cadence — and must stay within the same
+//                       2-point overhead_pct gate.
+//
+// All three overhead sections come from one alternating best-of-N A/B
+// helper, MeasureOverhead.
 //
 // Flags: --smoke shrinks training and request counts for CI. Honors
 // SILOFUSE_BENCH_SCALE for the training budget and --metrics-out /
@@ -50,6 +52,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <random>
 #include <sstream>
@@ -62,7 +65,7 @@
 #include "common/rng.h"
 #include "core/silofuse.h"
 #include "data/generators/paper_datasets.h"
-#include "obs/expose.h"
+#include "lib/scrape.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
@@ -257,22 +260,44 @@ OpenLoopResult RunOpenLoop(SynthesisServer* server, double offered_rps,
   return result;
 }
 
+// One side of an overhead A/B: the server a burst runs against and the
+// deployment it requests.
+struct AbSide {
+  SynthesisServer* server;
+  std::string deployment;
+};
+
+// Registers `checkpoint` as `deployment` and serves one request, so the
+// side's first measured burst does not pay the lazy model load.
+AbSide WarmSide(SynthesisServer* server, const std::string& deployment,
+                const std::string& checkpoint, uint64_t seed) {
+  ServeRequest warm;
+  warm.deployment = deployment;
+  warm.rows = kRowsPerRequest;
+  warm.seed = seed;
+  if (!server->RegisterDeployment(deployment, checkpoint).ok() ||
+      !server->Synthesize(warm).ok()) {
+    std::cerr << "overhead probe: cannot serve " << deployment << "\n";
+    std::exit(1);
+  }
+  return {server, deployment};
+}
+
 // One coalesced closed-loop burst (no serial baseline, no byte compare):
-// the unit of work for the recorder- and auditor-overhead A/Bs below.
-double CoalescedRowsPerSec(SynthesisServer* server, int requests_per_client,
-                           const std::string& deployment = "bench") {
+// the unit of work for the overhead A/Bs below.
+double CoalescedRowsPerSec(const AbSide& side, int requests_per_client) {
   const int requests = kConcurrency * requests_per_client;
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
   clients.reserve(kConcurrency);
   for (int c = 0; c < kConcurrency; ++c) {
-    clients.emplace_back([c, server, requests_per_client, &deployment] {
+    clients.emplace_back([c, &side, requests_per_client] {
       for (int r = 0; r < requests_per_client; ++r) {
         ServeRequest request;
-        request.deployment = deployment;
+        request.deployment = side.deployment;
         request.rows = kRowsPerRequest;
         request.seed = 30000 + static_cast<uint64_t>(c * requests_per_client + r);
-        if (!server->Synthesize(request).ok()) {
+        if (!side.server->Synthesize(request).ok()) {
           std::cerr << "overhead probe request failed\n";
           std::exit(1);
         }
@@ -287,27 +312,28 @@ double CoalescedRowsPerSec(SynthesisServer* server, int requests_per_client,
 struct OverheadResult {
   double off_rows_per_s = 0.0;
   double on_rows_per_s = 0.0;
-  double overhead_pct = 0.0;  // >= 0; throughput lost with recorder on
+  double overhead_pct = 0.0;  // >= 0; throughput lost with the feature on
+  int64_t on_events = 0;      // feature activity during on-bursts, if counted
 };
 
-// Alternates recorder-off / recorder-on bursts and keeps the best
-// throughput of each mode (best-of-N rejects scheduler noise the same way
-// bench_compare's min-of-N does). Alternation, rather than all-off then
-// all-on, keeps slow drift (thermal, page cache) from biasing one mode.
-OverheadResult MeasureRecorderOverhead(SynthesisServer* server,
-                                       int requests_per_client, int reps) {
-  auto& flight = obs::FlightRecorder::Global();
-  const bool was_enabled = flight.enabled();
+// Alternates off-side and on-side bursts and keeps the best throughput of
+// each (best-of-N rejects scheduler noise the same way bench_compare's
+// min-of-N does). Alternation, rather than all-off then all-on, keeps slow
+// drift (thermal, page cache) from biasing one side. `before_on` and
+// `after_on`, when set, run around every on-side burst.
+OverheadResult MeasureOverhead(const AbSide& off, const AbSide& on,
+                               int requests_per_client, int reps,
+                               const std::function<void()>& before_on = {},
+                               const std::function<void()>& after_on = {}) {
   OverheadResult result;
   for (int rep = 0; rep < reps; ++rep) {
-    flight.SetEnabled(false);
-    result.off_rows_per_s = std::max(
-        result.off_rows_per_s, CoalescedRowsPerSec(server, requests_per_client));
-    flight.SetEnabled(true);
-    result.on_rows_per_s = std::max(
-        result.on_rows_per_s, CoalescedRowsPerSec(server, requests_per_client));
+    result.off_rows_per_s = std::max(result.off_rows_per_s,
+                                     CoalescedRowsPerSec(off, requests_per_client));
+    if (before_on) before_on();
+    result.on_rows_per_s = std::max(result.on_rows_per_s,
+                                    CoalescedRowsPerSec(on, requests_per_client));
+    if (after_on) after_on();
   }
-  flight.SetEnabled(was_enabled);
   if (result.off_rows_per_s > 0.0) {
     result.overhead_pct = std::max(
         0.0, 100.0 * (result.off_rows_per_s - result.on_rows_per_s) /
@@ -316,156 +342,90 @@ OverheadResult MeasureRecorderOverhead(SynthesisServer* server,
   return result;
 }
 
-struct AuditOverheadResult {
-  double off_rows_per_s = 0.0;
-  double on_rows_per_s = 0.0;
-  double overhead_pct = 0.0;  // >= 0; throughput lost with auditing on
-  int64_t audits = 0;         // scoring passes the audited server completed
-};
+// Flight recorder: one server, the recorder switched on for each on-burst.
+OverheadResult MeasureRecorderOverhead(SynthesisServer* server,
+                                       int requests_per_client, int reps) {
+  auto& flight = obs::FlightRecorder::Global();
+  const bool was_enabled = flight.enabled();
+  flight.SetEnabled(false);
+  const AbSide side{server, "bench"};
+  const OverheadResult result = MeasureOverhead(
+      side, side, requests_per_client, reps, [&] { flight.SetEnabled(true); },
+      [&] { flight.SetEnabled(false); });
+  flight.SetEnabled(was_enabled);
+  return result;
+}
 
-// Same best-of-N alternating A/B as the recorder probe, but against two
-// servers over the same checkpoint: one plain, one with the quality auditor
+// Quality auditor: two servers over the same checkpoint, the on side
 // running its background worker at a deliberately aggressive cadence (every
 // burst gets sampled AND scored mid-traffic — worse than any production
-// setting, so the gate bounds the realistic cost from above).
-AuditOverheadResult MeasureAuditOverhead(const std::string& checkpoint,
-                                         int requests_per_client, int reps) {
-  ServeOptions plain;
-  plain.batcher.max_batch_requests = kConcurrency;
-  plain.batcher.max_linger_us = 2000;
-
+// setting, so the gate bounds the realistic cost from above). on_events
+// counts the scoring passes the audited server completed.
+OverheadResult MeasureAuditOverhead(const ServeOptions& plain,
+                                    const std::string& checkpoint,
+                                    int requests_per_client, int reps) {
   ServeOptions audited = plain;
   audited.enable_audit = true;
   audited.audit.audit_period_ns = 20LL * 1000 * 1000;   // score every 20 ms
   audited.audit.worker_period_ns = 10LL * 1000 * 1000;  // sweep every 10 ms
   audited.audit.min_audit_rows = 16;
-
   SynthesisServer off_server(plain);
   SynthesisServer on_server(audited);
-  AuditOverheadResult result;
-  if (!off_server.RegisterDeployment("bench_audit_off", checkpoint).ok() ||
-      !on_server.RegisterDeployment("bench_audit_on", checkpoint).ok()) {
-    std::cerr << "audit-overhead deployment registration failed\n";
-    std::exit(1);
-  }
-  const std::pair<SynthesisServer*, const char*> pairs[] = {
-      {&off_server, "bench_audit_off"}, {&on_server, "bench_audit_on"}};
-  for (const auto& [server, deployment] : pairs) {
-    ServeRequest warm;
-    warm.deployment = deployment;
-    warm.rows = kRowsPerRequest;
-    warm.seed = 2;
-    if (!server->Synthesize(warm).ok()) {
-      std::cerr << "audit-overhead warmup failed\n";
-      std::exit(1);
-    }
-  }
-  for (int rep = 0; rep < reps; ++rep) {
-    result.off_rows_per_s = std::max(
-        result.off_rows_per_s,
-        CoalescedRowsPerSec(&off_server, requests_per_client,
-                            "bench_audit_off"));
-    result.on_rows_per_s = std::max(
-        result.on_rows_per_s,
-        CoalescedRowsPerSec(&on_server, requests_per_client,
-                            "bench_audit_on"));
-  }
-  if (result.off_rows_per_s > 0.0) {
-    result.overhead_pct = std::max(
-        0.0, 100.0 * (result.off_rows_per_s - result.on_rows_per_s) /
-                 result.off_rows_per_s);
-  }
+  OverheadResult result = MeasureOverhead(
+      WarmSide(&off_server, "bench_audit_off", checkpoint, 2),
+      WarmSide(&on_server, "bench_audit_on", checkpoint, 2),
+      requests_per_client, reps);
   for (const auto& row : on_server.DebugSnapshot().audit) {
-    result.audits += row.audits;
+    result.on_events += row.audits;
   }
   return result;
 }
 
-struct IntrospectOverheadResult {
-  double off_rows_per_s = 0.0;
-  double on_rows_per_s = 0.0;
-  double overhead_pct = 0.0;  // >= 0; throughput lost with introspection on
-  int64_t scrapes = 0;        // /metrics responses served during on-bursts
-};
-
-// Same two-server best-of-N A/B as the audit probe, for the introspection
-// plane. The on-side server runs the /metrics endpoint plus a deliberately
-// aggressive 10 ms time-series sampler, and during each of its bursts a
-// scraper thread fetches /metrics back-to-back — far hotter than any real
-// Prometheus cadence, so the gate bounds the realistic cost from above.
-// The scraper only runs during on-bursts: an always-on scraper would burn a
-// core during the off-bursts too and mask the very overhead being measured.
-IntrospectOverheadResult MeasureIntrospectOverhead(
-    const std::string& checkpoint, int requests_per_client, int reps) {
-  ServeOptions plain;
-  plain.batcher.max_batch_requests = kConcurrency;
-  plain.batcher.max_linger_us = 2000;
-
+// Introspection plane: the on-side server runs the /metrics endpoint, and
+// during each of its bursts a scraper thread fetches /metrics every 100 ms.
+// 10 scrapes/s is an order of magnitude hotter than the fastest common
+// Prometheus interval, while yielding the CPU between scrapes so the
+// measurement reflects endpoint cost, not a busy-looping client starving
+// the synthesis threads. The scraper only runs during on-bursts: an
+// always-on scraper would burn CPU during the off-bursts too and mask the
+// very overhead being measured. on_events counts the /metrics responses.
+OverheadResult MeasureIntrospectOverhead(const ServeOptions& plain,
+                                         const std::string& checkpoint,
+                                         int requests_per_client, int reps) {
   ServeOptions introspected = plain;
   introspected.enable_introspection = true;
   introspected.introspection_port = 0;  // ephemeral
-  // 100 ms sampler (what sf_report --introspect uses) and a 100 ms scrape
-  // cadence: 10 scrapes/s is still an order of magnitude hotter than the
-  // fastest common Prometheus interval, while yielding the CPU between
-  // scrapes so the measurement reflects endpoint cost, not a busy-looping
-  // client starving the synthesis threads (this bench also runs on 1-core
-  // CI machines).
-  introspected.introspection_sample_period_ns = 100LL * 1000 * 1000;
-
   SynthesisServer off_server(plain);
   SynthesisServer on_server(introspected);
-  IntrospectOverheadResult result;
-  if (!off_server.RegisterDeployment("bench_intro_off", checkpoint).ok() ||
-      !on_server.RegisterDeployment("bench_intro_on", checkpoint).ok()) {
-    std::cerr << "introspect-overhead deployment registration failed\n";
-    std::exit(1);
-  }
   if (on_server.IntrospectionPort() < 0) {
     std::cerr << "introspect-overhead endpoint failed to start\n";
     std::exit(1);
   }
   const std::string target =
       "127.0.0.1:" + std::to_string(on_server.IntrospectionPort());
-  for (const auto& [server, deployment] :
-       {std::pair<SynthesisServer*, const char*>{&off_server,
-                                                 "bench_intro_off"},
-        std::pair<SynthesisServer*, const char*>{&on_server,
-                                                 "bench_intro_on"}}) {
-    ServeRequest warm;
-    warm.deployment = deployment;
-    warm.rows = kRowsPerRequest;
-    warm.seed = 3;
-    if (!server->Synthesize(warm).ok()) {
-      std::cerr << "introspect-overhead warmup failed\n";
-      std::exit(1);
-    }
-  }
-  for (int rep = 0; rep < reps; ++rep) {
-    result.off_rows_per_s = std::max(
-        result.off_rows_per_s,
-        CoalescedRowsPerSec(&off_server, requests_per_client,
-                            "bench_intro_off"));
-    std::atomic<bool> scraping{true};
-    std::thread scraper([&] {
-      while (scraping.load(std::memory_order_relaxed)) {
-        if (obs::HttpGet(target, "/metrics", /*timeout_ms=*/1000).ok()) {
-          ++result.scrapes;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    });
-    result.on_rows_per_s = std::max(
-        result.on_rows_per_s,
-        CoalescedRowsPerSec(&on_server, requests_per_client,
-                            "bench_intro_on"));
-    scraping.store(false, std::memory_order_relaxed);
-    scraper.join();
-  }
-  if (result.off_rows_per_s > 0.0) {
-    result.overhead_pct = std::max(
-        0.0, 100.0 * (result.off_rows_per_s - result.on_rows_per_s) /
-                 result.off_rows_per_s);
-  }
+  std::atomic<bool> scraping{false};
+  int64_t scrapes = 0;
+  std::thread scraper;
+  OverheadResult result = MeasureOverhead(
+      WarmSide(&off_server, "bench_intro_off", checkpoint, 3),
+      WarmSide(&on_server, "bench_intro_on", checkpoint, 3),
+      requests_per_client, reps,
+      [&] {
+        scraping.store(true, std::memory_order_relaxed);
+        scraper = std::thread([&] {
+          while (scraping.load(std::memory_order_relaxed)) {
+            if (obs::HttpGet(target, "/metrics", /*timeout_ms=*/1000).ok()) {
+              ++scrapes;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          }
+        });
+      },
+      [&] {
+        scraping.store(false, std::memory_order_relaxed);
+        scraper.join();
+      });
+  result.on_events = scrapes;
   return result;
 }
 
@@ -500,9 +460,8 @@ std::string PhasesJson() {
 
 std::string Json(bool smoke, const ClosedLoopResult& closed,
                  const std::vector<OpenLoopResult>& open,
-                 const OverheadResult& overhead,
-                 const AuditOverheadResult& audit,
-                 const IntrospectOverheadResult& introspect,
+                 const OverheadResult& overhead, const OverheadResult& audit,
+                 const OverheadResult& introspect,
                  const std::string& phases) {
   std::ostringstream out;
   out << "{\n  \"bench\": \"serving\",\n";
@@ -543,14 +502,14 @@ std::string Json(bool smoke, const ClosedLoopResult& closed,
   out << "  \"audit_overhead\": {\n";
   out << "    \"audit_off_rows_per_s\": " << audit.off_rows_per_s << ",\n";
   out << "    \"audit_on_rows_per_s\": " << audit.on_rows_per_s << ",\n";
-  out << "    \"audits\": " << audit.audits << ",\n";
+  out << "    \"audits\": " << audit.on_events << ",\n";
   out << "    \"overhead_pct\": " << audit.overhead_pct << "\n  },\n";
   out << "  \"introspect_overhead\": {\n";
   out << "    \"introspect_off_rows_per_s\": " << introspect.off_rows_per_s
       << ",\n";
   out << "    \"introspect_on_rows_per_s\": " << introspect.on_rows_per_s
       << ",\n";
-  out << "    \"scrapes\": " << introspect.scrapes << ",\n";
+  out << "    \"scrapes\": " << introspect.on_events << ",\n";
   out << "    \"overhead_pct\": " << introspect.overhead_pct << "\n  }\n}\n";
   return out.str();
 }
@@ -658,20 +617,22 @@ int main(int argc, char** argv) {
   // Longer bursts than the recorder A/B: the audit gate compares a 0-2%
   // effect, so each side gets 3x the requests to push scheduler noise
   // below the 2-point _pct slack.
-  const AuditOverheadResult audit = MeasureAuditOverhead(
-      checkpoint, workload.requests_per_client * 3, smoke ? 3 : 4);
+  const OverheadResult audit = MeasureAuditOverhead(
+      serve_options, checkpoint, workload.requests_per_client * 3,
+      smoke ? 3 : 4);
   std::cout << "  quality auditor: off " << audit.off_rows_per_s
             << " rows/s, on " << audit.on_rows_per_s << " rows/s  ->  "
-            << audit.overhead_pct << "% overhead (" << audit.audits
+            << audit.overhead_pct << "% overhead (" << audit.on_events
             << " audits during bursts)\n";
 
   // Same long-burst setting as the audit gate: the introspection A/B also
   // compares a 0-2% effect against scheduler noise.
-  const IntrospectOverheadResult introspect = MeasureIntrospectOverhead(
-      checkpoint, workload.requests_per_client * 6, smoke ? 4 : 5);
+  const OverheadResult introspect = MeasureIntrospectOverhead(
+      serve_options, checkpoint, workload.requests_per_client * 6,
+      smoke ? 4 : 5);
   std::cout << "  introspection: off " << introspect.off_rows_per_s
             << " rows/s, on " << introspect.on_rows_per_s << " rows/s  ->  "
-            << introspect.overhead_pct << "% overhead (" << introspect.scrapes
+            << introspect.overhead_pct << "% overhead (" << introspect.on_events
             << " scrapes during bursts)\n";
 
   const std::string json =

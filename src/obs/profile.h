@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace silofuse {
@@ -47,36 +46,11 @@ struct ProfileReport {
   int64_t total_counter_events = 0;
 };
 
-/// Neutral per-round communication row, decoupled from distributed/ types
-/// so report rendering works both on a live Channel::RoundLog and on rows
-/// parsed back from an exported report.
-struct RoundStat {
-  int64_t bytes = 0;
-  int64_t messages = 0;
-  int64_t retries = 0;
-  int64_t redelivered_bytes = 0;
-  double wall_ms = 0.0;
-};
-
 /// Builds the hotspot table and per-round critical path from a trace
 /// snapshot (SnapshotTraceEvents output). Deterministic: the result depends
 /// only on the events' names, contexts, and nesting arithmetic, never on
 /// buffer or thread enumeration order.
 ProfileReport BuildProfile(const std::vector<TraceEvent>& events);
-
-/// One merged human-readable run report: communication rounds, critical
-/// path, hotspots, and headline metrics. Any section whose input is empty
-/// is omitted.
-std::string RenderRunReportMarkdown(const std::string& title,
-                                    const ProfileReport& profile,
-                                    const std::vector<RoundStat>& rounds,
-                                    const MetricsSnapshot& metrics);
-
-/// Same content as a machine-readable JSON object.
-std::string RenderRunReportJson(const std::string& title,
-                                const ProfileReport& profile,
-                                const std::vector<RoundStat>& rounds,
-                                const MetricsSnapshot& metrics);
 
 }  // namespace obs
 }  // namespace silofuse

@@ -15,6 +15,7 @@ struct CacheMetrics {
   obs::Counter* misses;
   obs::Counter* evictions;
   obs::Counter* reloads;
+  obs::Counter* reload_failures;
   obs::Gauge* loaded;
 };
 
@@ -26,6 +27,7 @@ const CacheMetrics& Metrics() {
     m.misses = registry.GetCounter("serve.cache.misses");
     m.evictions = registry.GetCounter("serve.cache.evictions");
     m.reloads = registry.GetCounter("serve.cache.reloads");
+    m.reload_failures = registry.GetCounter("serve.cache.reload_failures");
     m.loaded = registry.GetGauge("serve.cache.loaded");
     return m;
   }();
@@ -34,8 +36,8 @@ const CacheMetrics& Metrics() {
 
 /// Checkpoint generation: (mtime ns, size). A rewritten checkpoint changes
 /// at least one of the two; both unreadable -> {-1, -1}, which never
-/// matches a successful load's generation, so a vanished file triggers a
-/// reload attempt (and a clean error) rather than serving stale forever.
+/// matches a successful load's generation, so a vanished file counts as a
+/// change (its reload fails, and the resident model keeps serving).
 bool StatGeneration(const std::string& path, int64_t* mtime_ns,
                     int64_t* size_bytes) {
   struct stat st;
@@ -122,6 +124,19 @@ Result<std::shared_ptr<SiloFuse>> ModelCache::Get(const std::string& name) {
     target.loading = false;
     loaded_cv_.notify_all();
     if (!loaded.ok()) {
+      if (stale && target.model != nullptr) {
+        // A bad file replaced a good checkpoint: keep serving the resident
+        // model, and remember the bad generation so the file is parsed
+        // again only once it changes again.
+        target.mtime_ns = mtime_ns;
+        target.size_bytes = size_bytes;
+        target.last_use = ++use_tick_;
+        metrics.reload_failures->Increment();
+        SF_LOG(Warning) << "serve: hot reload of deployment '" << name
+                        << "' from " << path << " failed, still serving the "
+                        << "previous model: " << loaded.status().ToString();
+        return target.model;
+      }
       return Status(loaded.status().code(),
                     "loading deployment '" + name + "' from '" + path +
                         "': " + loaded.status().message());

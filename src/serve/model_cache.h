@@ -36,8 +36,8 @@ struct ModelCacheOptions {
 /// the cache lock: in-flight batches keep their shared_ptr and drain on the
 /// old model, new batches pick up the new one.
 ///
-/// Counters: serve.cache.{hits,misses,evictions,reloads} and gauge
-/// serve.cache.loaded.
+/// Counters: serve.cache.{hits,misses,evictions,reloads,reload_failures}
+/// and gauge serve.cache.loaded.
 class ModelCache {
  public:
   explicit ModelCache(ModelCacheOptions options = {});
@@ -51,8 +51,11 @@ class ModelCache {
   Status Register(const std::string& name, const std::string& checkpoint_path);
 
   /// Returns the deployment's model, loading or hot-reloading as needed.
-  /// kNotFound for unregistered names; load failures surface the
-  /// LoadCheckpoint status (and are retried on the next Get).
+  /// kNotFound for unregistered names. A failed first load surfaces the
+  /// LoadCheckpoint status and is retried on the next Get. A failed hot
+  /// reload keeps serving the resident model, counts
+  /// serve.cache.reload_failures, and is retried only once the file's
+  /// generation changes again.
   Result<std::shared_ptr<SiloFuse>> Get(const std::string& name);
 
   /// True when `name` has been registered (no load, no residency check).
@@ -77,7 +80,8 @@ class ModelCache {
   struct Entry {
     std::string path;
     std::shared_ptr<SiloFuse> model;  // null until first Get / after evict
-    int64_t mtime_ns = -1;            // generation of the resident load
+    // Generation of the resident load, or of the last failed hot reload.
+    int64_t mtime_ns = -1;
     int64_t size_bytes = -1;
     uint64_t last_use = 0;
     bool loading = false;  // single-flight latch

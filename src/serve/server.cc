@@ -130,12 +130,6 @@ SynthesisServer::SynthesisServer(ServeOptions options)
     }
   }
   if (options_.enable_introspection) {
-    if (options_.introspection_sample_period_ns > 0) {
-      obs::TimeSeriesOptions ts;
-      ts.period_ns = options_.introspection_sample_period_ns;
-      sampler_ = std::make_unique<obs::TimeSeriesSampler>(ts);
-      sampler_->Start();
-    }
     obs::IntrospectionOptions io;
     io.port = options_.introspection_port;
     introspection_ = std::make_unique<obs::IntrospectionServer>(io);
@@ -144,10 +138,6 @@ SynthesisServer::SynthesisServer(ServeOptions options)
     if (Status s = introspection_->Start(); !s.ok()) {
       SF_LOG(Warning) << "introspection endpoint disabled: " << s.ToString();
       introspection_.reset();
-      if (sampler_ != nullptr) {
-        sampler_->Stop();
-        sampler_.reset();
-      }
     }
   }
   if (options_.enable_slo) {

@@ -15,7 +15,6 @@
 #include "obs/expose.h"
 #include "obs/quality_audit.h"
 #include "obs/slo.h"
-#include "obs/timeseries.h"
 #include "serve/batcher.h"
 #include "serve/model_cache.h"
 
@@ -77,9 +76,8 @@ struct ServeOptions {
   /// Live introspection plane (obs/expose.h): when enabled the server
   /// starts an embedded loopback HTTP endpoint serving /metrics (Prometheus
   /// text exposition), /varz (metrics JSON), /healthz, and /statusz (the
-  /// rendered DebugSnapshot), plus — when introspection_sample_period_ns
-  /// > 0 — an in-memory time-series sampler (obs/timeseries.h) so /statusz
-  /// and sf_top can show live rates. Scrapes only READ process state; the
+  /// rendered DebugSnapshot). Windowed rates are the client's job: sf_top
+  /// differences consecutive scrapes. Scrapes only READ process state; the
   /// serving data plane never waits on the endpoint. Env override:
   /// SILOFUSE_INTROSPECT=<port> forces it on at that port ("auto" or "1"
   /// picks an ephemeral port; "0" or "off" forces it off).
@@ -87,10 +85,6 @@ struct ServeOptions {
   /// TCP port for the endpoint; 0 = ephemeral (read back with
   /// IntrospectionPort()).
   int introspection_port = 0;
-  /// Background sampling period for the time-series ring; <= 0 leaves the
-  /// sampler thread off (tests drive SampleOnce() by hand so /statusz stays
-  /// deterministic in a quiesced server).
-  int64_t introspection_sample_period_ns = 1000000000;
 };
 
 /// Point-in-time operational state of one SynthesisServer, for debug
@@ -190,10 +184,6 @@ class SynthesisServer {
   /// off (after env overrides) or the port could not be bound.
   int IntrospectionPort() const;
 
-  /// The time-series sampler behind /statusz rates, or nullptr when
-  /// introspection is off. Tests call SampleOnce() on it directly.
-  obs::TimeSeriesSampler* sampler() { return sampler_.get(); }
-
  private:
   /// Lazily creates the deployment's batcher (whose batch function samples
   /// through the cache). Only reached for registered deployments —
@@ -228,9 +218,8 @@ class SynthesisServer {
   // still be sampling on cached models during their drain.
   std::map<std::string, std::unique_ptr<RequestBatcher>> batchers_;
   // Declared last so the introspection plane is destroyed FIRST: the
-  // acceptor must stop calling DebugSnapshot() (and the sampler must stop
-  // snapshotting) before the members they read start tearing down.
-  std::unique_ptr<obs::TimeSeriesSampler> sampler_;       // null unless on
+  // acceptor must stop calling DebugSnapshot() before the members it reads
+  // start tearing down.
   std::unique_ptr<obs::IntrospectionServer> introspection_;  // null unless on
 };
 

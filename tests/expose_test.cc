@@ -9,8 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "common/json.h"
 #include "gtest/gtest.h"
+#include "lib/json.h"
+#include "lib/scrape.h"
 #include "obs/metrics.h"
 
 namespace silofuse {

@@ -12,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/json.h"
+#include "lib/json.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 

@@ -13,11 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/json.h"
 #include "common/rng.h"
 #include "core/silofuse.h"
 #include "data/generators/paper_datasets.h"
 #include "diffusion/gaussian_ddpm.h"
+#include "lib/json.h"
 #include "models/autoencoder.h"
 #include "nn/linear.h"
 #include "nn/sequential.h"

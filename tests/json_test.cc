@@ -1,4 +1,4 @@
-#include "common/json.h"
+#include "lib/json.h"
 
 #include <gtest/gtest.h>
 

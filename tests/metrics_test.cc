@@ -213,7 +213,7 @@ TEST(UtilityTest, RegressionTaskWorks) {
 
 // ---------------------------------------------------------------------------
 // Histogram quantile interpolation edge cases (obs::HistogramSnapshot).
-// Pinned here so the exposition/time-series consumers — which feed
+// Pinned here so the exposition consumers (sf_top's scrape deltas) — which feed
 // arbitrary windowed deltas through Quantile — can rely on finite,
 // in-range results for every degenerate shape.
 // ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
-#include "common/json.h"
 #include "core/silofuse.h"
 #include "data/generators/paper_datasets.h"
+#include "lib/json.h"
+#include "lib/scrape.h"
 #include "obs/expose.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -417,6 +418,65 @@ TEST_F(ServeTest, CacheReleasesLoadLatchWhenReRegisteredDuringLoad) {
   auto reloaded = next.get();
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   std::remove(swap_path.c_str());
+}
+
+// A corrupt file replacing a good checkpoint must not take the deployment
+// down: the resident model keeps serving, the bad generation is parsed once
+// (not once per request), and a later valid checkpoint reloads normally.
+TEST_F(ServeTest, FailedHotReloadKeepsServingResidentModel) {
+  const std::string path = ::testing::TempDir() + "/serve_bad_reload.ckpt";
+  ASSERT_TRUE(model_->SaveCheckpoint(path).ok());
+  ServeOptions options;
+  options.batcher.max_linger_us = 0;
+  SynthesisServer server(options);
+  std::atomic<int> loads{0};
+  server.cache()->SetLoadHookForTest([&loads] { ++loads; });
+  ASSERT_TRUE(server.RegisterDeployment("sturdy", path).ok());
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter* failures = registry.GetCounter("serve.cache.reload_failures");
+  obs::Counter* reloads = registry.GetCounter("serve.cache.reloads");
+  const int64_t failures_before = failures->Value();
+
+  ServeRequest request;
+  request.deployment = "sturdy";
+  request.rows = 12;
+  request.seed = 77;
+  auto good = server.Synthesize(request);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_EQ(loads.load(), 1);
+  auto resident = server.cache()->Get("sturdy");
+  ASSERT_TRUE(resident.ok());
+
+  {
+    std::ofstream garbage(path, std::ios::trunc | std::ios::binary);
+    garbage << "this is not a checkpoint";
+  }
+  std::vector<Result<Table>> results(8, Status::Internal("not run"));
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < results.size(); ++i) {
+    callers.emplace_back([&server, &request, &results, i] {
+      results[i] = server.Synthesize(request);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const Result<Table>& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectTablesEqual(result.Value(), good.Value());
+  }
+  EXPECT_EQ(loads.load(), 2);  // the bad generation was parsed exactly once
+  EXPECT_EQ(failures->Value() - failures_before, 1);
+
+  const int64_t reloads_before = reloads->Value();
+  ASSERT_TRUE(model_->SaveCheckpoint(path).ok());
+  auto fresh = server.Synthesize(request);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectTablesEqual(fresh.Value(), good.Value());
+  EXPECT_EQ(loads.load(), 3);
+  EXPECT_EQ(reloads->Value() - reloads_before, 1);
+  auto reloaded = server.cache()->Get("sturdy");
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_NE(reloaded.Value().get(), resident.Value().get());
+  std::remove(path.c_str());
 }
 
 // --- SynthesisServer --------------------------------------------------------
@@ -1033,8 +1093,7 @@ TEST_F(ServeTest, StatuszMatchesDebugSnapshotFieldForField) {
   ServeOptions options;
   options.batcher.max_linger_us = 0;
   options.enable_introspection = true;
-  options.introspection_port = 0;            // ephemeral
-  options.introspection_sample_period_ns = 0;  // no sampler thread: quiesced
+  options.introspection_port = 0;  // ephemeral
   SynthesisServer server(options);
   ASSERT_GT(server.IntrospectionPort(), 0);
   ASSERT_TRUE(server.RegisterDeployment("statusz", checkpoint_path_).ok());
@@ -1082,8 +1141,8 @@ TEST_F(ServeTest, StatuszMatchesDebugSnapshotFieldForField) {
 }
 
 // Scraping is read-only: identical seeded requests produce byte-identical
-// tables whether the introspection plane (server + sampler + concurrent
-// /metrics scrapes) is on or off, and the phase accounting sees the same
+// tables whether the introspection plane (server + concurrent /metrics
+// scrapes) is on or off, and the phase accounting sees the same
 // number of observations either way.
 TEST_F(ServeTest, SynthesisBytesIdenticalWithIntrospectionOnOrOff) {
   ServeOptions off_options;
@@ -1096,7 +1155,6 @@ TEST_F(ServeTest, SynthesisBytesIdenticalWithIntrospectionOnOrOff) {
   on_options.batcher.max_linger_us = 0;
   on_options.enable_introspection = true;
   on_options.introspection_port = 0;
-  on_options.introspection_sample_period_ns = 1LL * 1000 * 1000;  // 1 ms
   SynthesisServer on_server(on_options);
   ASSERT_GT(on_server.IntrospectionPort(), 0);
   ASSERT_TRUE(on_server.RegisterDeployment("ident_on", checkpoint_path_).ok());
@@ -1191,7 +1249,6 @@ TEST_F(ServeTest, IntrospectEnvOverridesServeOptions) {
     options.enable_introspection = true;
     SynthesisServer server(options);
     EXPECT_EQ(server.IntrospectionPort(), -1);
-    EXPECT_EQ(server.sampler(), nullptr);
   }
   {
     ::setenv("SILOFUSE_INTROSPECT", "auto", 1);

@@ -12,11 +12,11 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/json.h"
 #include "common/rng.h"
 #include "distributed/channel.h"
 #include "distributed/fault.h"
-#include "obs/bench_compare.h"
+#include "lib/bench_compare.h"
+#include "lib/json.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"

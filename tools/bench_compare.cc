@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
-#include "obs/bench_compare.h"
+#include "lib/bench_compare.h"
+#include "lib/json.h"
 
 using namespace silofuse;
 

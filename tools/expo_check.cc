@@ -3,7 +3,7 @@
 // Usage: expo_check <payload-file|->
 //
 // Reads the payload from the named file (or stdin for "-"), runs the same
-// parser sf_top uses (obs/expose.h), and exits 0 when the payload is clean:
+// parser sf_top uses (lib/scrape.h), and exits 0 when the payload is clean:
 // every line parses, names match the exposition grammar, no duplicate
 // series, no family declared with two types. On failure the offending line
 // is named on stderr and the exit code is 1. CI's scrape-smoke job runs
@@ -14,7 +14,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/expose.h"
+#include "lib/scrape.h"
 
 namespace {
 

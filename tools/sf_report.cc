@@ -39,11 +39,11 @@
 #include <thread>
 #include <vector>
 
-#include "common/json.h"
 #include "core/silofuse.h"
 #include "data/generators/paper_datasets.h"
-#include "obs/bench_compare.h"
-#include "obs/expose.h"
+#include "lib/json.h"
+#include "lib/run_report.h"
+#include "lib/scrape.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -271,8 +271,6 @@ int ServeAndReport(const Args& args, obs::ProfileReport* profile,
     if (args.introspect != "auto") {
       serve_options.introspection_port = std::atoi(args.introspect.c_str());
     }
-    // Sample fast so even a short linger window gives scrapers real rates.
-    serve_options.introspection_sample_period_ns = 100LL * 1000 * 1000;
   }
   serve::SynthesisServer server(serve_options);
   if (!args.introspect.empty()) {

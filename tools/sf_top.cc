@@ -27,7 +27,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/expose.h"
+#include "lib/scrape.h"
 #include "obs/metrics.h"
 
 namespace silofuse {
