@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -81,6 +82,11 @@ Result<Table> ReadCsv(const std::string& path, const Schema& schema) {
         return Status::InvalidArgument("cannot parse '" + rows[r][c] +
                                        "' at row " + std::to_string(r));
       }
+      if (schema.column(c).is_categorical() && row[c] != std::floor(row[c])) {
+        return Status::InvalidArgument("non-integral categorical code '" +
+                                       rows[r][c] + "' at row " +
+                                       std::to_string(r));
+      }
     }
     SF_RETURN_NOT_OK(table.AppendRow(row));
   }
@@ -109,14 +115,17 @@ Result<Table> ReadCsvInferSchema(const std::string& path,
   }
   Schema schema;
   for (int c = 0; c < cols; ++c) {
-    std::set<long long> distinct;
+    std::set<int> distinct;
     bool all_int = true;
     for (double v : values[c]) {
-      if (v != std::floor(v)) {
+      // A value outside the int range keeps the column numeric; it is also
+      // never narrowed, which would be undefined for such a double.
+      if (v != std::floor(v) || v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max()) {
         all_int = false;
         break;
       }
-      distinct.insert(static_cast<long long>(v));
+      distinct.insert(static_cast<int>(v));
       if (static_cast<int>(distinct.size()) > max_categorical_cardinality) {
         break;
       }
@@ -125,12 +134,12 @@ Result<Table> ReadCsvInferSchema(const std::string& path,
     if (all_int && static_cast<int>(distinct.size()) >= 2 &&
         static_cast<int>(distinct.size()) <= max_categorical_cardinality) {
       // Remap codes densely.
-      std::map<long long, int> remap;
-      for (long long v : distinct) {
+      std::map<int, int> remap;
+      for (int v : distinct) {
         const int next = static_cast<int>(remap.size());
         remap[v] = next;
       }
-      for (double& v : values[c]) v = remap[static_cast<long long>(v)];
+      for (double& v : values[c]) v = remap[static_cast<int>(v)];
       schema.AddColumn(ColumnSpec::Categorical(name,
                                                static_cast<int>(distinct.size())));
     } else {

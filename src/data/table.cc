@@ -7,6 +7,18 @@
 
 namespace silofuse {
 
+namespace {
+
+// True when `v` rounds to a code of a column with `cardinality` levels. The
+// double is range-checked before any narrowing: converting first would wrap
+// an out-of-range value (4294967297 -> 1) or NaN into a valid int.
+bool IsValidCode(double v, int cardinality) {
+  const double code = std::round(v);
+  return code >= 0.0 && code < static_cast<double>(cardinality);
+}
+
+}  // namespace
+
 Table::Table(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.num_columns());
 }
@@ -42,8 +54,7 @@ Status Table::AppendRow(const std::vector<double>& values) {
   for (int c = 0; c < num_columns(); ++c) {
     const ColumnSpec& spec = schema_.column(c);
     if (spec.is_categorical()) {
-      const int code = static_cast<int>(std::lround(values[c]));
-      if (code < 0 || code >= spec.cardinality) {
+      if (!IsValidCode(values[c], spec.cardinality)) {
         return Status::OutOfRange("categorical code out of range in column '" +
                                   spec.name + "'");
       }
@@ -172,9 +183,8 @@ Status Table::Validate() const {
     const ColumnSpec& spec = schema_.column(c);
     if (!spec.is_categorical()) continue;
     for (double v : columns_[c]) {
-      const int code = static_cast<int>(std::lround(v));
-      if (code < 0 || code >= spec.cardinality) {
-        return Status::OutOfRange("categorical code " + std::to_string(code) +
+      if (!IsValidCode(v, spec.cardinality)) {
+        return Status::OutOfRange("categorical code " + FormatDouble(v, 17) +
                                   " out of range in column '" + spec.name +
                                   "'");
       }

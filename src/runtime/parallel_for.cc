@@ -20,8 +20,8 @@ namespace {
 constexpr int kMaxThreadSetting = 256;
 // Minimum useful chunk cost in nanoseconds. The pool's measured
 // enqueue-to-start latency is p50 ~5-6.5µs (runtime.pool.task_us histogram,
-// BENCH_runtime.json); a chunk must carry ~10x that in real work before
-// fan-out wins. AutoGrain sizes chunks to this floor and ParallelForCost
+// reported by sf_bench --trace 1); a chunk must carry ~10x that in real work
+// before fan-out wins. AutoGrain sizes chunks to this floor and ParallelForCost
 // stays serial below two such chunks.
 constexpr double kMinChunkCostNs = 50'000.0;
 // Thread-local flag behind ScopedFastReduction::Active().

@@ -13,7 +13,7 @@ namespace memstats {
 /// SILOFUSE_MEM_STATS environment variable, SetEnabled, or ReinitFromEnv),
 /// every Matrix buffer allocation/free updates process-wide live/peak byte
 /// counters that obs::FlushTelemetry publishes as `mem.matrix.*` gauges and
-/// bench_runtime_scaling reports in BENCH_runtime.json. Disabled cost: one
+/// sf_bench reports as `matrix.peak_mb`. Disabled cost: one
 /// relaxed atomic load per Matrix allocation.
 
 bool Enabled();

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -67,6 +68,12 @@ TEST_F(CsvTest, ReadRejectsOutOfRangeCode) {
   const std::string path = TempPath("badcode.csv");
   WriteFile(path, "x,c\n1.0,7\n");
   EXPECT_FALSE(ReadCsv(path, MixedSchema()).ok());
+  // Codes that only land in range after narrowing to int, and fractional
+  // codes that only land on one after rounding.
+  for (const char* code : {"4294967297", "-4294967296", "0.6"}) {
+    WriteFile(path, std::string("x,c\n1.0,") + code + "\n");
+    EXPECT_FALSE(ReadCsv(path, MixedSchema()).ok()) << code;
+  }
 }
 
 TEST_F(CsvTest, MissingFileIsIOError) {
@@ -84,6 +91,13 @@ TEST_F(CsvTest, InferSchemaDetectsCategoricalAndNumeric) {
   EXPECT_FALSE(schema.column(0).is_categorical());
   EXPECT_TRUE(schema.column(1).is_categorical());
   EXPECT_EQ(schema.column(1).cardinality, 2);
+
+  // An integral value outside the int range keeps the column numeric.
+  WriteFile(path, "a\n1e300\n2\n3\n");
+  result = ReadCsvInferSchema(path, 4);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result.Value().schema().column(0).is_categorical());
+  EXPECT_DOUBLE_EQ(result.Value().value(0, 0), 1e300);
 }
 
 TEST_F(CsvTest, InferSchemaRemapsSparseCodes) {

@@ -1,10 +1,13 @@
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "diffusion/gaussian_ddpm.h"
 #include "diffusion/schedule.h"
 #include "diffusion/time_embedding.h"
+#include "runtime/parallel_for.h"
 
 namespace silofuse {
 namespace {
@@ -183,6 +186,35 @@ TEST(GaussianDdpmTest, DeterministicDdimSamplingIsReproducible) {
   Matrix a = ddpm.Sample(10, 10, &rng_a, /*eta=*/0.0);
   Matrix b = ddpm.Sample(10, 10, &rng_b, /*eta=*/0.0);
   EXPECT_EQ(a, b);
+}
+
+// Ancestral sampling (eta = 1) pre-draws each step's noise on the caller
+// thread, so the trajectory must be byte-identical at any thread count.
+TEST(GaussianDdpmTest, AncestralSamplingIsByteIdenticalAcrossThreadCounts) {
+  Rng init(11);
+  GaussianDdpmConfig config;
+  config.data_dim = 16;
+  config.num_timesteps = 50;
+  config.hidden_dim = 128;
+  config.num_layers = 4;
+  config.dropout = 0.0f;
+  GaussianDdpm ddpm(config, &init);
+  const int saved_threads = NumThreads();
+  const std::vector<int> thread_counts = {1, 2, 8};
+  std::vector<Matrix> samples;
+  for (int threads : thread_counts) {
+    SetNumThreads(threads);
+    Rng rng(123);
+    samples.push_back(ddpm.Sample(256, 10, &rng, /*eta=*/1.0));
+  }
+  SetNumThreads(saved_threads);
+  for (size_t i = 1; i < samples.size(); ++i) {
+    ASSERT_EQ(samples[i].size(), samples[0].size());
+    EXPECT_EQ(std::memcmp(samples[i].data(), samples[0].data(),
+                          samples[0].size() * sizeof(float)),
+              0)
+        << "threads=" << thread_counts[i];
+  }
 }
 
 TEST(GaussianDdpmTest, BackwardBackboneReturnsDataDimGradient) {

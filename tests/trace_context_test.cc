@@ -1,7 +1,7 @@
 // Cross-silo trace-context propagation: pack/unpack, the frame-header ride
 // (byte-accounting invariance included), ambient-context flow across the
-// runtime pool, retry/backoff spans from the reliability layer, profile
-// aggregation determinism, and the bench-compare regression gate.
+// runtime pool, retry/backoff spans from the reliability layer, and profile
+// aggregation determinism.
 
 #include "obs/trace_context.h"
 
@@ -15,8 +15,6 @@
 #include "common/rng.h"
 #include "distributed/channel.h"
 #include "distributed/fault.h"
-#include "lib/bench_compare.h"
-#include "lib/json.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
@@ -338,114 +336,6 @@ TEST_F(TraceContextTest, ProfileAggregationDeterministicAcrossThreadCounts) {
     EXPECT_EQ(report.rounds[0].round, 1);
     obs::DisableTracing();
   }
-}
-
-// ---- Regression gate -------------------------------------------------------
-
-json::Value ParseOrDie(const std::string& text) {
-  auto doc = json::Parse(text);
-  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
-  return std::move(doc).Value();
-}
-
-TEST_F(TraceContextTest, BenchCompareIdenticalInputsPass) {
-  const json::Value doc =
-      ParseOrDie(R"({"a_ms": 10.0, "b_ms": [1.0, 2.0], "count": 7})");
-  const obs::CompareReport report = obs::CompareBenchJson(doc, {doc});
-  EXPECT_EQ(report.exit_code(), 0);
-  EXPECT_EQ(report.regressions, 0);
-}
-
-TEST_F(TraceContextTest, BenchCompareFlagsTwoXSlowdownAsHard) {
-  const json::Value baseline = ParseOrDie(R"({"step_ms": 40.0})");
-  const json::Value slow = ParseOrDie(R"({"step_ms": 85.0})");
-  const obs::CompareReport report = obs::CompareBenchJson(baseline, {slow});
-  EXPECT_EQ(report.exit_code(), 2);
-  EXPECT_EQ(report.hard_regressions, 1);
-  ASSERT_EQ(report.entries.size(), 1u);
-  EXPECT_TRUE(report.entries[0].hard);
-}
-
-TEST_F(TraceContextTest, BenchCompareMildRegressionIsSoft) {
-  const json::Value baseline = ParseOrDie(R"({"step_ms": 40.0})");
-  const json::Value slow = ParseOrDie(R"({"step_ms": 55.0})");  // 1.38x
-  const obs::CompareReport report = obs::CompareBenchJson(baseline, {slow});
-  EXPECT_EQ(report.exit_code(), 1);
-  EXPECT_EQ(report.regressions, 1);
-  EXPECT_EQ(report.hard_regressions, 0);
-}
-
-TEST_F(TraceContextTest, BenchCompareTakesMinAcrossCandidates) {
-  const json::Value baseline = ParseOrDie(R"({"step_ms": 40.0})");
-  const json::Value noisy = ParseOrDie(R"({"step_ms": 90.0})");
-  const json::Value quiet = ParseOrDie(R"({"step_ms": 41.0})");
-  const obs::CompareReport report =
-      obs::CompareBenchJson(baseline, {noisy, quiet});
-  EXPECT_EQ(report.exit_code(), 0);  // min-of-N rescues the noisy repetition
-  ASSERT_EQ(report.entries.size(), 1u);
-  EXPECT_DOUBLE_EQ(report.entries[0].current, 41.0);
-}
-
-TEST_F(TraceContextTest, BenchCompareAbsoluteSlackMutesTinyTimings) {
-  // 3x ratio but only 0.2ms absolute: below abs_slack, not a regression.
-  const json::Value baseline = ParseOrDie(R"({"tiny_ms": 0.1})");
-  const json::Value current = ParseOrDie(R"({"tiny_ms": 0.3})");
-  const obs::CompareReport report = obs::CompareBenchJson(baseline, {current});
-  EXPECT_EQ(report.exit_code(), 0);
-}
-
-TEST_F(TraceContextTest, BenchCompareOnlyGatesTimeLikeKeys) {
-  // A "regressed" counter is informational, never a gate failure.
-  const json::Value baseline = ParseOrDie(R"({"tasks": 100})");
-  const json::Value current = ParseOrDie(R"({"tasks": 500})");
-  const obs::CompareReport report = obs::CompareBenchJson(baseline, {current});
-  EXPECT_EQ(report.exit_code(), 0);
-  ASSERT_EQ(report.entries.size(), 1u);
-  EXPECT_FALSE(report.entries[0].gated);
-}
-
-TEST_F(TraceContextTest, BenchCompareGatesTimingsInsideObjectArrays) {
-  // Keys flattened out of an array of objects ("runs[0].p99_ms") carry a
-  // bracket mid-key; the _ms leaf must still be gated. Serving bench
-  // latency percentiles are published exactly this way.
-  const json::Value baseline =
-      ParseOrDie(R"({"runs": [{"p99_ms": 10.0, "rps": 50}]})");
-  const json::Value slow =
-      ParseOrDie(R"({"runs": [{"p99_ms": 25.0, "rps": 50}]})");
-  const obs::CompareReport report = obs::CompareBenchJson(baseline, {slow});
-  EXPECT_EQ(report.exit_code(), 2);
-  EXPECT_EQ(report.hard_regressions, 1);
-}
-
-TEST_F(TraceContextTest, BenchCompareGatesMemKeysOnAbsoluteGrowthOnly) {
-  // +2 MiB peak: over the 1 MiB absolute slack, a regression even though
-  // the ratio (1.2x) is under rel_slack-style thresholds.
-  const json::Value baseline = ParseOrDie(R"({"matrix_peak_bytes": 10485760})");
-  const json::Value grown = ParseOrDie(R"({"matrix_peak_bytes": 12582912})");
-  const obs::CompareReport report = obs::CompareBenchJson(baseline, {grown});
-  EXPECT_EQ(report.exit_code(), 1);
-  ASSERT_EQ(report.entries.size(), 1u);
-  EXPECT_TRUE(report.entries[0].gated);
-  EXPECT_TRUE(report.entries[0].regressed);
-}
-
-TEST_F(TraceContextTest, BenchCompareMemKeysTolerateSubSlackGrowth) {
-  // +512 KiB on a large ratio (6x): under the absolute byte slack, no gate.
-  const json::Value baseline = ParseOrDie(R"({"scratch_bytes": 100000})");
-  const json::Value grown = ParseOrDie(R"({"scratch_bytes": 624288})");
-  const obs::CompareReport report = obs::CompareBenchJson(baseline, {grown});
-  EXPECT_EQ(report.exit_code(), 0);
-  ASSERT_EQ(report.entries.size(), 1u);
-  EXPECT_TRUE(report.entries[0].gated);
-  EXPECT_FALSE(report.entries[0].regressed);
-}
-
-TEST_F(TraceContextTest, BenchCompareReportsMissingGatedKeys) {
-  const json::Value baseline = ParseOrDie(R"({"gone_ms": 5.0, "kept_ms": 1.0})");
-  const json::Value current = ParseOrDie(R"({"kept_ms": 1.0})");
-  const obs::CompareReport report = obs::CompareBenchJson(baseline, {current});
-  ASSERT_EQ(report.missing_in_current.size(), 1u);
-  EXPECT_EQ(report.missing_in_current[0], "gone_ms");
 }
 
 }  // namespace

@@ -11,10 +11,9 @@
 namespace silofuse {
 namespace json {
 
-/// Minimal JSON document model for the analysis tools (sf_report,
-/// bench_compare): they must read back the telemetry the library itself
-/// writes (metrics snapshots, Chrome traces, BENCH_*.json) without an
-/// external JSON dependency. Full RFC 8259 input is accepted; numbers are
+/// Minimal JSON document model for the analysis tools (sf_report) and the
+/// tests: they must read back the telemetry the library itself writes
+/// (metrics snapshots, Chrome traces) without an external JSON dependency. Full RFC 8259 input is accepted; numbers are
 /// held as double (telemetry values are counts and milliseconds, well inside
 /// the 2^53 exact-integer range).
 class Value {
