@@ -1,9 +1,14 @@
 #include "core/silofuse.h"
 
-#include <algorithm>
-#include <map>
+#include <fcntl.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 
 #include "common/archive.h"
 #include "common/logging.h"
@@ -383,34 +388,65 @@ constexpr char kCheckpointMagic[] = "SILOFUSE_CKPT_V1";
 /// never look past the coordinator, new readers accept old files).
 constexpr char kReferenceStatsMagic[] = "SILOFUSE_REFSTATS";
 constexpr uint32_t kReferenceStatsVersion = 1;
+
+/// Writes the file at `path` so that `path` only ever names a complete
+/// file: `write` fills a temp file in the same directory, which is flushed,
+/// fsync'd and then renamed over `path` (atomic on POSIX). A reader such as
+/// a hot-reload poller therefore sees the old file or the new one, never a
+/// half-written one. On any failure the temp file is removed and an
+/// existing `path` is left untouched.
+Status WriteFileAtomically(const std::string& path,
+                           const std::function<Status(BinaryWriter*)>& write) {
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                           std::to_string(next_temp.fetch_add(1));
+  const Status status = [&]() -> Status {
+    {
+      std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+      if (!out) return Status::IOError("cannot open '" + path + "' for writing");
+      BinaryWriter writer(&out);
+      SF_RETURN_NOT_OK(write(&writer));
+      out.close();
+      if (!writer.ok() || out.fail()) {
+        return Status::IOError("write to '" + path + "' failed");
+      }
+    }
+    const int fd = ::open(temp.c_str(), O_RDONLY);
+    const bool synced = fd >= 0 && ::fsync(fd) == 0;
+    if (fd >= 0) ::close(fd);
+    if (!synced) return Status::IOError("cannot fsync '" + path + "'");
+    if (std::rename(temp.c_str(), path.c_str()) != 0) {
+      return Status::IOError("cannot rename a temp file over '" + path + "'");
+    }
+    return Status::OK();
+  }();
+  if (!status.ok()) std::remove(temp.c_str());
+  return status;
+}
 }  // namespace
 
 Status SiloFuse::SaveCheckpoint(const std::string& path) {
   if (!fitted_) {
     return Status::FailedPrecondition("cannot checkpoint an unfitted model");
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open '" + path + "' for writing");
-  BinaryWriter writer(&out);
-  writer.WriteString(kCheckpointMagic);
-  writer.WriteI32(options_.base.inference_steps);
-  writer.WriteF64(options_.base.sampling_eta);
-  writer.WriteU64(partition_.size());
-  for (const auto& cols : partition_) {
-    writer.WriteU64(cols.size());
-    for (int c : cols) writer.WriteI32(c);
-  }
-  for (auto& client : clients_) client->autoencoder()->Save(&writer);
-  SF_RETURN_NOT_OK(coordinator_->Save(&writer));
-  if (!reference_stats_.empty()) {
-    writer.WriteString(kReferenceStatsMagic);
-    writer.WriteU32(kReferenceStatsVersion);
-    reference_stats_.Save(&writer);
-  }
-  if (!writer.ok() || !out) {
-    return Status::IOError("write to '" + path + "' failed");
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, [this](BinaryWriter* writer) -> Status {
+    writer->WriteString(kCheckpointMagic);
+    writer->WriteI32(options_.base.inference_steps);
+    writer->WriteF64(options_.base.sampling_eta);
+    writer->WriteU64(partition_.size());
+    for (const auto& cols : partition_) {
+      writer->WriteU64(cols.size());
+      for (int c : cols) writer->WriteI32(c);
+    }
+    for (auto& client : clients_) client->autoencoder()->Save(writer);
+    SF_RETURN_NOT_OK(coordinator_->Save(writer));
+    if (!reference_stats_.empty()) {
+      writer->WriteString(kReferenceStatsMagic);
+      writer->WriteU32(kReferenceStatsVersion);
+      reference_stats_.Save(writer);
+    }
+    return Status::OK();
+  });
 }
 
 Result<std::unique_ptr<SiloFuse>> SiloFuse::LoadCheckpoint(

@@ -80,23 +80,31 @@ GaussianDdpm::GaussianDdpm(const GaussianDdpmConfig& config, Rng* rng)
   // hidden blocks are residual so the net trains at small step budgets; the
   // separate `skip_` path (z_t -> prediction) lets the model represent the
   // near-identity eps ~ x_t solution at high noise levels immediately.
-  backbone_.Emplace<Linear>(in_dim, config.hidden_dim, rng);
+  const auto linear = [this, rng](int in, int out) {
+    auto layer = std::make_unique<Linear>(in, out, rng);
+    linears_.push_back(layer.get());
+    return layer;
+  };
+  backbone_.Add(linear(in_dim, config.hidden_dim));
   backbone_.Emplace<Gelu>();
   if (config.dropout > 0.0f) backbone_.Emplace<Dropout>(config.dropout, rng);
   for (int l = 0; l < config.num_layers - 2; ++l) {
     auto block = std::make_unique<Sequential>();
-    block->Emplace<Linear>(config.hidden_dim, config.hidden_dim, rng);
+    block->Add(linear(config.hidden_dim, config.hidden_dim));
     block->Emplace<Gelu>();
     if (config.dropout > 0.0f) block->Emplace<Dropout>(config.dropout, rng);
     backbone_.Emplace<Residual>(std::move(block));
   }
-  backbone_.Emplace<Linear>(config.hidden_dim, config.data_dim, rng);
-  skip_ = std::make_unique<Linear>(config.data_dim, config.data_dim, rng);
+  backbone_.Add(linear(config.hidden_dim, config.data_dim));
+  skip_ = linear(config.data_dim, config.data_dim);
   PrefixParameterNames(backbone_.Parameters(), "backbone.");
   PrefixParameterNames(skip_->Parameters(), "skip.");
-  std::vector<Parameter*> params = backbone_.Parameters();
-  for (Parameter* p : skip_->Parameters()) params.push_back(p);
-  optimizer_ = std::make_unique<Adam>(std::move(params), config.lr);
+}
+
+void GaussianDdpm::PrepareForSampling() {
+  for (Linear* layer : linears_) layer->PackWeights();
+  for (Parameter* p : Parameters()) p->grad = Matrix();
+  optimizer_.reset();
 }
 
 Matrix GaussianDdpm::ForwardProcess(const Matrix& z0, const std::vector<int>& t,
@@ -123,6 +131,15 @@ Matrix GaussianDdpm::ForwardBackbone(const Matrix& z_t,
                                      const std::vector<int>& t, bool training) {
   SF_CHECK_EQ(z_t.cols(), config_.data_dim);
   SF_CHECK_EQ(z_t.rows(), static_cast<int>(t.size()));
+  if (training) {
+    // Re-create the grads PrepareForSampling released; Backward
+    // accumulates into them.
+    for (Parameter* p : Parameters()) {
+      if (p->grad.size() != p->value.size()) {
+        p->grad = Matrix(p->value.rows(), p->value.cols());
+      }
+    }
+  }
   Matrix t_emb = SinusoidalTimeEmbedding(t, config_.time_embed_dim);
   Matrix input = Matrix::ConcatCols({z_t, t_emb});
   Matrix out = backbone_.Forward(input, training);
@@ -194,8 +211,11 @@ Result<std::unique_ptr<GaussianDdpm>> GaussianDdpm::LoadFrom(
   }
   config.schedule = static_cast<ScheduleType>(schedule);
   config.predict = static_cast<DiffusionPrediction>(predict);
-  Rng init_rng(0);  // weights are overwritten below
-  auto ddpm = std::make_unique<GaussianDdpm>(config, &init_rng);
+  // Weights are overwritten below; the Rng stays with the model because
+  // its dropout layers draw from it if it is ever trained again.
+  auto init_rng = std::make_unique<Rng>(0);
+  auto ddpm = std::make_unique<GaussianDdpm>(config, init_rng.get());
+  ddpm->owned_rng_ = std::move(init_rng);
   std::vector<Parameter*> params = ddpm->Parameters();
   SF_ASSIGN_OR_RETURN(uint64_t count, reader->ReadU64());
   if (count != params.size()) {
@@ -208,6 +228,7 @@ Result<std::unique_ptr<GaussianDdpm>> GaussianDdpm::LoadFrom(
     }
     p->value = std::move(value);
   }
+  ddpm->PrepareForSampling();
   return ddpm;
 }
 
@@ -226,6 +247,9 @@ double GaussianDdpm::TrainStep(const Matrix& z0, Rng* rng) {
       config_.predict == DiffusionPrediction::kEpsilon ? eps : z0;
   Matrix grad;
   const double loss = MseLoss(prediction, target, &grad);
+  if (optimizer_ == nullptr) {
+    optimizer_ = std::make_unique<Adam>(Parameters(), config_.lr);
+  }
   optimizer_->ZeroGrad();
   BackwardBackbone(grad);
   const double grad_norm = optimizer_->ClipGradNorm(config_.grad_clip);

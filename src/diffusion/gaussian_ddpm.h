@@ -87,11 +87,19 @@ class GaussianDdpm {
     return params;
   }
   /// Checkpoint support: serializes the config and all weights; LoadFrom
-  /// reconstructs a ready-to-sample model.
+  /// reconstructs a model ready to sample, PrepareForSampling applied.
   void Save(BinaryWriter* writer);
   static Result<std::unique_ptr<GaussianDdpm>> LoadFrom(BinaryReader* reader);
 
-  Optimizer* optimizer() { return optimizer_.get(); }
+  /// Call when the weights become fixed (end of training, checkpoint
+  /// load). Packs every Linear's weight for the GEMM kernel, so sampling
+  /// skips the per-call repack with unchanged bytes, and releases the
+  /// training-only state: the parameter grads and the Adam moments. A
+  /// later TrainStep re-creates that state (the moments start from zero)
+  /// and its training forward drops the packs. Sampling only reads the
+  /// packs, so concurrent Sample calls stay race-free.
+  void PrepareForSampling();
+
   const GaussianDdpmConfig& config() const { return config_; }
   const VarianceSchedule& schedule() const { return schedule_; }
   int64_t parameter_count() {
@@ -103,7 +111,11 @@ class GaussianDdpm {
   VarianceSchedule schedule_;
   Sequential backbone_;
   std::unique_ptr<Linear> skip_;  // direct z_t -> prediction path
-  std::unique_ptr<Adam> optimizer_;
+  std::vector<Linear*> linears_;  // every Linear of backbone_ and skip_
+  std::unique_ptr<Adam> optimizer_;  // created by the first TrainStep
+  // The dropout layers' Rng when the caller's could not outlive the model
+  // (LoadFrom's); empty otherwise.
+  std::unique_ptr<Rng> owned_rng_;
 };
 
 }  // namespace silofuse

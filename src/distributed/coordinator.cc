@@ -25,21 +25,27 @@ Status Coordinator::TrainOnLatents(const Matrix& latents, int steps,
   GaussianDdpmConfig config = config_;
   config.data_dim = z0.cols();
   ddpm_ = std::make_unique<GaussianDdpm>(config, rng);
-  obs::TrainLoopTelemetry telemetry("coordinator.train",
-                                    std::min(batch_size, z0.rows()));
-  telemetry.WatchHealth(ddpm_->Parameters());
-  obs::health::QualityProbeRunner probe_runner(
-      probe != nullptr ? *probe : obs::health::QualityProbe{});
-  for (int s = 0; s < steps; ++s) {
-    const std::vector<int> idx =
-        SampleBatchIndices(z0.rows(), std::min(batch_size, z0.rows()), rng);
-    const double loss = ddpm_->TrainStep(z0.GatherRows(idx), rng);
-    SF_RETURN_NOT_OK(telemetry.Step({{"diffusion_loss", loss}}));
-    // Probes run between optimizer steps: the next TrainStep re-establishes
-    // the layer caches its Backward needs, so mid-training inference through
-    // the shared backbone is safe here (and nowhere inside a step).
-    SF_RETURN_NOT_OK(probe_runner.MaybeRun(s + 1));
+  {
+    obs::TrainLoopTelemetry telemetry("coordinator.train",
+                                      std::min(batch_size, z0.rows()));
+    telemetry.WatchHealth(ddpm_->Parameters());
+    obs::health::QualityProbeRunner probe_runner(
+        probe != nullptr ? *probe : obs::health::QualityProbe{});
+    for (int s = 0; s < steps; ++s) {
+      const std::vector<int> idx =
+          SampleBatchIndices(z0.rows(), std::min(batch_size, z0.rows()), rng);
+      const double loss = ddpm_->TrainStep(z0.GatherRows(idx), rng);
+      SF_RETURN_NOT_OK(telemetry.Step({{"diffusion_loss", loss}}));
+      // Probes run between optimizer steps: the next TrainStep
+      // re-establishes the layer caches its Backward needs, so mid-training
+      // inference through the shared backbone is safe here (and nowhere
+      // inside a step).
+      SF_RETURN_NOT_OK(probe_runner.MaybeRun(s + 1));
+    }
   }
+  // The weights are fixed from here on: a fitted coordinator holds what a
+  // reloaded checkpoint holds (packed weights, no grads or moments).
+  ddpm_->PrepareForSampling();
   return Status::OK();
 }
 

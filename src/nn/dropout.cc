@@ -8,7 +8,9 @@ Dropout::Dropout(float p, Rng* rng) : p_(p), rng_(rng) {
 }
 
 Matrix Dropout::Forward(const Matrix& input, bool training) {
-  last_training_ = training;
+  // Written only on a change, so concurrent inference forwards through one
+  // model read the flag and never write it.
+  if (last_training_ != training) last_training_ = training;
   if (!training || p_ == 0.0f) return input;
   const float keep = 1.0f - p_;
   const float scale = 1.0f / keep;

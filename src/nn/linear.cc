@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "tensor/gemm.h"
-
 namespace silofuse {
 
 Linear::Linear(int in_features, int out_features, Rng* rng, bool bias)
@@ -22,25 +20,39 @@ Linear::Linear(int in_features, int out_features, Rng* rng, bool bias)
 Matrix Linear::Forward(const Matrix& input, bool training) {
   SF_CHECK_EQ(input.cols(), in_features_);
   // The cache only feeds Backward; inference skips the allocation + copy.
-  // The bias rides the GEMM epilogue (v = acc, then v += bias[j] per
-  // element) — the exact sequence the old MatMul + AddRowBroadcastInPlace
-  // pair produced, so training and inference bytes are unchanged.
-  if (training) cached_input_ = input;
-  Matrix out(input.rows(), out_features_);
-  Gemm(/*trans_a=*/false, /*trans_b=*/false, input.rows(), out_features_,
-       in_features_, 1.0f, input.data(), in_features_, weight_.value.data(),
-       out_features_, 0.0f, out.data(), out_features_,
-       has_bias_ ? bias_.value.data() : nullptr);
-  return out;
+  // A training forward leads to a weight update, so it retires the pack.
+  if (training) {
+    cached_input_ = input;
+    packed_weight_.reset();
+  }
+  return Project(input, GemmActivation::kNone);
 }
 
 Matrix Linear::ForwardFusedGelu(const Matrix& input) {
   SF_CHECK_EQ(input.cols(), in_features_);
+  return Project(input, GemmActivation::kGeluFast);
+}
+
+void Linear::PackWeights() {
+  packed_weight_.emplace(/*trans_b=*/false, in_features_, out_features_,
+                         weight_.value.data(), out_features_);
+}
+
+Matrix Linear::Project(const Matrix& input, GemmActivation act) const {
+  // The bias rides the GEMM epilogue (v = acc, then v += bias[j] per
+  // element) — the exact sequence the old MatMul + AddRowBroadcastInPlace
+  // pair produced, so training and inference bytes are unchanged.
   Matrix out(input.rows(), out_features_);
-  Gemm(/*trans_a=*/false, /*trans_b=*/false, input.rows(), out_features_,
-       in_features_, 1.0f, input.data(), in_features_, weight_.value.data(),
-       out_features_, 0.0f, out.data(), out_features_,
-       has_bias_ ? bias_.value.data() : nullptr, GemmActivation::kGeluFast);
+  const float* bias = has_bias_ ? bias_.value.data() : nullptr;
+  if (packed_weight_.has_value()) {
+    GemmPrepacked(/*trans_a=*/false, input.rows(), 1.0f, input.data(),
+                  in_features_, *packed_weight_, 0.0f, out.data(),
+                  out_features_, bias, act);
+  } else {
+    Gemm(/*trans_a=*/false, /*trans_b=*/false, input.rows(), out_features_,
+         in_features_, 1.0f, input.data(), in_features_, weight_.value.data(),
+         out_features_, 0.0f, out.data(), out_features_, bias, act);
+  }
   return out;
 }
 

@@ -1,10 +1,12 @@
 #ifndef SILOFUSE_NN_LINEAR_H_
 #define SILOFUSE_NN_LINEAR_H_
 
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "nn/module.h"
+#include "tensor/gemm.h"
 
 namespace silofuse {
 
@@ -30,18 +32,31 @@ class Linear : public Module {
   /// inference peephole is the intended caller.
   Matrix ForwardFusedGelu(const Matrix& input);
 
+  /// Packs the weight once in the GEMM kernel's panel layout; inference
+  /// forwards (Forward(., false) and ForwardFusedGelu) then run the packed
+  /// kernel on every shape without a per-call repack. Bytes are unchanged.
+  /// Any training Forward drops the pack, since that is the only road to
+  /// Backward and an optimizer step, so a pack never serves stale weights.
+  /// Code that writes weight().value directly must pack again afterwards.
+  void PackWeights();
+  bool packed() const { return packed_weight_.has_value(); }
+
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
 
  private:
+  // x W + b with the `act` epilogue, through the pack when there is one.
+  Matrix Project(const Matrix& input, GemmActivation act) const;
+
   int in_features_;
   int out_features_;
   bool has_bias_;
   Parameter weight_;  // (in x out)
   Parameter bias_;    // (1 x out)
   Matrix cached_input_;
+  std::optional<PackedB> packed_weight_;  // set by PackWeights, inference only
 };
 
 }  // namespace silofuse

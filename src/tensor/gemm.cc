@@ -89,11 +89,12 @@ void GemmDirect(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
 
 // --- Packing ---------------------------------------------------------------
 //
-// B is packed once per GEMM on the calling thread into kNr-wide column
-// panels (panel p holds columns [p*kNr, p*kNr + kNr), k-major:
-// dst[kk*kNr + jj]); the tail panel zero-pads the missing columns. A is
-// packed per pool chunk in the worker into kMr-row tiles (tile t holds rows
-// [t*kMr, ...), k-major: dst[kk*kMr + r]) with zero-padded tail rows.
+// B is packed on the calling thread (per Gemm call, or once into a PackedB)
+// into kNr-wide column panels (panel p holds columns [p*kNr, p*kNr + kNr),
+// k-major: dst[kk*kNr + jj]); the tail panel zero-pads the missing
+// columns. A is packed per pool chunk in the worker into kMr-row tiles
+// (tile t holds rows [t*kMr, ...), k-major: dst[kk*kMr + r]) with
+// zero-padded tail rows.
 // Padding is what makes remainder handling free inside the microkernel:
 // fma(a, 0, acc) and fma(0, b, acc) leave acc bit-exactly unchanged (both
 // operands are finite), and pad lanes are simply never written back.
@@ -213,20 +214,13 @@ void MicroKernel(int k, const float* SF_RESTRICT pa, const float* SF_RESTRICT pb
 
 #endif  // SILOFUSE_GEMM_AVX2
 
-}  // namespace
-
-namespace gemm_detail {
-
-void GemmPacked(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
-                const float* a, int lda, const float* b, int ldb, float beta,
-                float* c, int ldc, const float* bias, GemmActivation act) {
+// The one tile loop behind Gemm's packed path and GemmPrepacked. B arrives
+// packed (panel p at pb_base + p * k * kNr); A is packed per pool chunk in
+// the worker.
+void RunPacked(bool trans_a, int m, int n, int k, float alpha, const float* a,
+               int lda, const float* pb_base, float beta, float* c, int ldc,
+               const float* bias, GemmActivation act) {
   if (m <= 0 || n <= 0) return;
-  // Pack B once on the calling thread; every chunk (and the fuzz tests'
-  // repeated calls) reuses the thread_local capacity, avoiding an
-  // mmap + page-fault cycle per GEMM.
-  static thread_local std::vector<float> packed_b;
-  PackB(b, ldb, trans_b, k, n, &packed_b);
-  const float* pb_base = packed_b.data();
   const int panels = (n + kNr - 1) / kNr;
   const double row_cost_ns = std::max(1.0, static_cast<double>(k) * n * kNsPerMac);
   ParallelForCost(0, m, row_cost_ns, [=](int64_t lo, int64_t hi) {
@@ -260,6 +254,23 @@ void GemmPacked(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
   });
 }
 
+}  // namespace
+
+namespace gemm_detail {
+
+void GemmPacked(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
+                const float* a, int lda, const float* b, int ldb, float beta,
+                float* c, int ldc, const float* bias, GemmActivation act) {
+  if (m <= 0 || n <= 0) return;
+  // Pack B on the calling thread; every chunk (and the fuzz tests'
+  // repeated calls) reuses the thread_local capacity, avoiding an
+  // mmap + page-fault cycle per GEMM.
+  static thread_local std::vector<float> packed_b;
+  PackB(b, ldb, trans_b, k, n, &packed_b);
+  RunPacked(trans_a, m, n, k, alpha, a, lda, packed_b.data(), beta, c, ldc,
+            bias, act);
+}
+
 }  // namespace gemm_detail
 
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
@@ -274,6 +285,18 @@ void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
   }
   gemm_detail::GemmPacked(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
                           beta, c, ldc, bias, act);
+}
+
+PackedB::PackedB(bool trans_b, int k, int n, const float* b, int ldb)
+    : k_(k), n_(n) {
+  PackB(b, ldb, trans_b, k, n, &panels_);
+}
+
+void GemmPrepacked(bool trans_a, int m, float alpha, const float* a, int lda,
+                   const PackedB& b, float beta, float* c, int ldc,
+                   const float* bias, GemmActivation act) {
+  RunPacked(trans_a, m, b.n(), b.k(), alpha, a, lda, b.data(), beta, c, ldc,
+            bias, act);
 }
 
 void GemmRef(bool trans_a, bool trans_b, int m, int n, int k, float alpha,

@@ -1,6 +1,8 @@
 #ifndef SILOFUSE_TENSOR_GEMM_H_
 #define SILOFUSE_TENSOR_GEMM_H_
 
+#include <vector>
+
 namespace silofuse {
 
 /// Optional activation fused into the GEMM epilogue (applied after the
@@ -42,11 +44,40 @@ enum class GemmActivation { kNone, kGeluFast };
 /// Large problems run a packed, register-blocked kernel parallelized over
 /// row blocks with a cost-derived grain (runtime AutoGrain); small problems
 /// run the direct loop inline on the caller. The split depends only on the
-/// problem shape, never the thread count.
+/// problem shape, never the thread count. The packed path repacks B into a
+/// thread_local buffer on every call; a B that does not change between
+/// calls (an inference weight) can be packed once into a PackedB instead.
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
           const float* a, int lda, const float* b, int ldb, float beta,
           float* c, int ldc, const float* bias = nullptr,
           GemmActivation act = GemmActivation::kNone);
+
+/// op(B) (k x n) laid out once in the packed kernel's 16-column panel
+/// layout (the tail panel zero-padded), so a fixed weight is not repacked
+/// per call. Holds a copy: later writes to the source do not reach it.
+class PackedB {
+ public:
+  /// Packs op(B), read from `b` as Gemm reads it (trans_b, ldb).
+  PackedB(bool trans_b, int k, int n, const float* b, int ldb);
+
+  int k() const { return k_; }
+  int n() const { return n_; }
+  const float* data() const { return panels_.data(); }
+
+ private:
+  int k_;
+  int n_;
+  std::vector<float> panels_;
+};
+
+/// Gemm with op(B) = `b` prepacked: C = alpha * op(A) * b + beta * C, then
+/// the same epilogue. Runs the packed kernel on every shape, including the
+/// ones Gemm would send to the direct loop; the exactness contract above
+/// holds unchanged, so the bytes equal Gemm's on the same operands.
+void GemmPrepacked(bool trans_a, int m, float alpha, const float* a, int lda,
+                   const PackedB& b, float beta, float* c, int ldc,
+                   const float* bias = nullptr,
+                   GemmActivation act = GemmActivation::kNone);
 
 /// Naive triple-loop reference implementing exactly the contract above,
 /// serially. The packed kernel must match it bit-for-bit on every shape —

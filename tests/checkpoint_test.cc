@@ -2,10 +2,14 @@
 // component Save/Load, and full SiloFuse checkpoint restore (synthesis from
 // a reloaded model must be schema-correct and deterministic given a seed).
 
+#include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -150,6 +154,42 @@ TEST(GaussianDdpmIoTest, RestoredModelSamplesIdentically) {
   Rng rng_a(9), rng_b(9);
   EXPECT_EQ(ddpm.Sample(10, 5, &rng_a, 0.0),
             restored.Value()->Sample(10, 5, &rng_b, 0.0));
+}
+
+// A loaded model is prepared for sampling: packed, with no grads or Adam
+// moments. Training it again must still work (the state is re-created on
+// the first TrainStep; dropout draws from the Rng the model owns), and a
+// Save -> Load -> Save round trip must reproduce the archive byte for byte.
+TEST(GaussianDdpmIoTest, LoadedModelTrainsAndRoundTripsBytes) {
+  Rng rng(4);
+  GaussianDdpmConfig config;
+  config.data_dim = 4;
+  config.hidden_dim = 32;
+  config.num_layers = 4;
+  config.dropout = 0.05f;
+  GaussianDdpm ddpm(config, &rng);
+  Matrix z0 = Matrix::RandomNormal(64, 4, &rng);
+  for (int s = 0; s < 5; ++s) ddpm.TrainStep(z0, &rng);
+  std::stringstream first;
+  BinaryWriter first_writer(&first);
+  ddpm.Save(&first_writer);
+  const std::string saved = first.str();
+
+  BinaryReader reader(&first);
+  auto restored = GaussianDdpm::LoadFrom(&reader);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  std::stringstream second;
+  BinaryWriter second_writer(&second);
+  restored.Value()->Save(&second_writer);
+  EXPECT_EQ(second.str(), saved);
+
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_TRUE(std::isfinite(restored.Value()->TrainStep(z0, &rng)));
+  }
+  Rng sample_rng(9);
+  const Matrix sample = restored.Value()->Sample(6, 5, &sample_rng);
+  EXPECT_EQ(sample.rows(), 6);
+  EXPECT_TRUE(std::isfinite(sample.Sum()));
 }
 
 class SiloFuseCheckpointTest : public ::testing::Test {
@@ -313,6 +353,77 @@ TEST_F(SiloFuseCheckpointTest, PreReferenceStatsCheckpointStillLoads) {
   auto synth = restored.Value()->Synthesize(20, &synth_rng);
   ASSERT_TRUE(synth.ok()) << synth.status().ToString();
   EXPECT_TRUE(synth.Value().schema() == data.schema());
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// SaveCheckpoint writes a temp file and renames it over the path, so a
+// hot-reload poller that loads while a new version is being written sees
+// the old file or the new one, never a half-written one. One thread
+// re-saves two versions to one path while this thread loads in a loop:
+// every load must succeed and re-save to the bytes of one version.
+TEST_F(SiloFuseCheckpointTest, SaveIsAtomicUnderConcurrentLoads) {
+  Table data = GeneratePaperDataset("loan", 200, 11).Value();
+  SiloFuseOptions options;
+  options.base.autoencoder.hidden_dim = 32;
+  options.base.autoencoder_steps = 20;
+  options.base.diffusion_train_steps = 20;
+  options.base.batch_size = 64;
+  options.base.diffusion.hidden_dim = 64;
+  options.base.diffusion.num_layers = 4;
+  options.partition.num_clients = 2;
+  SiloFuse v1(options), v2(options);
+  Rng rng1(12), rng2(13);
+  ASSERT_TRUE(v1.Fit(data, &rng1).ok());
+  ASSERT_TRUE(v2.Fit(data, &rng2).ok());
+  const std::string v1_path = path_ + ".v1";
+  const std::string v2_path = path_ + ".v2";
+  const std::string resave_path = path_ + ".resave";
+  ASSERT_TRUE(v1.SaveCheckpoint(v1_path).ok());
+  ASSERT_TRUE(v2.SaveCheckpoint(v2_path).ok());
+  const std::string v1_bytes = ReadFileBytes(v1_path);
+  const std::string v2_bytes = ReadFileBytes(v2_path);
+  ASSERT_NE(v1_bytes, v2_bytes);
+  ASSERT_TRUE(v1.SaveCheckpoint(path_).ok());
+
+  std::atomic<bool> writing{true};
+  Status writer_status;
+  std::thread writer([&] {
+    for (int i = 0; i < 30 && writer_status.ok(); ++i) {
+      writer_status = (i % 2 == 0 ? v2 : v1).SaveCheckpoint(path_);
+    }
+    writing = false;
+  });
+  int loads = 0;
+  while (writing || loads < 3) {
+    auto loaded = SiloFuse::LoadCheckpoint(path_);
+    ASSERT_TRUE(loaded.ok()) << "load " << loads << ": "
+                             << loaded.status().ToString();
+    ASSERT_TRUE(loaded.Value()->SaveCheckpoint(resave_path).ok());
+    const std::string bytes = ReadFileBytes(resave_path);
+    EXPECT_TRUE(bytes == v1_bytes || bytes == v2_bytes) << "load " << loads;
+    ++loads;
+  }
+  writer.join();
+  EXPECT_TRUE(writer_status.ok()) << writer_status.ToString();
+
+  // No temp file is left next to the checkpoint.
+  const std::filesystem::path target(path_);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_EQ(entry.path().filename().string().rfind(
+                  target.filename().string() + ".tmp", 0),
+              std::string::npos)
+        << "leftover " << entry.path();
+  }
+  for (const std::string& p : {v1_path, v2_path, resave_path}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST_F(SiloFuseCheckpointTest, UnfittedModelCannotBeSaved) {

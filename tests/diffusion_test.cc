@@ -1,5 +1,7 @@
 #include <cmath>
 #include <cstring>
+#include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,6 +216,82 @@ TEST(GaussianDdpmTest, AncestralSamplingIsByteIdenticalAcrossThreadCounts) {
                           samples[0].size() * sizeof(float)),
               0)
         << "threads=" << thread_counts[i];
+  }
+}
+
+GaussianDdpmConfig SmallDenoiserConfig() {
+  GaussianDdpmConfig config;
+  config.data_dim = 6;
+  config.num_timesteps = 50;
+  config.hidden_dim = 64;
+  config.num_layers = 4;
+  config.dropout = 0.05f;  // training forwards draw from the init Rng
+  return config;
+}
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// PrepareForSampling packs the weights and releases the training state; a
+// later TrainStep must re-create that state and retire the packs, so the
+// model trains and samples exactly like a twin that was never prepared. A
+// pack that survived a training step would make the prepared model's
+// forwards read the pre-update weights.
+TEST(GaussianDdpmTest, TrainingAfterPrepareMatchesNeverPreparedTwin) {
+  Rng init_a(21), init_b(21);
+  GaussianDdpm prepared(SmallDenoiserConfig(), &init_a);
+  GaussianDdpm twin(SmallDenoiserConfig(), &init_b);
+  prepared.PrepareForSampling();
+  {
+    Rng rng_a(5), rng_b(5);
+    EXPECT_TRUE(SameBytes(prepared.Sample(7, 10, &rng_a),
+                          twin.Sample(7, 10, &rng_b)))
+        << "packed sampling changed the bytes";
+  }
+  Rng data_rng(22);
+  const Matrix z0 = Matrix::RandomNormal(64, 6, &data_rng);
+  Rng train_a(23), train_b(23);
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(prepared.TrainStep(z0, &train_a), twin.TrainStep(z0, &train_b))
+        << "step " << s;
+  }
+  Rng rng_a(24), rng_b(24);
+  EXPECT_TRUE(SameBytes(prepared.Sample(7, 10, &rng_a),
+                        twin.Sample(7, 10, &rng_b)))
+      << "sampling after training read a stale pack";
+}
+
+// Sampling only reads the model (the packs, the weights, the schedule), so
+// two threads may sample one loaded model at once. Each thread's output
+// must equal its serial run. Runs under the TSan CI job.
+TEST(GaussianDdpmTest, ConcurrentSamplingOfLoadedModelMatchesSerial) {
+  Rng init(25);
+  GaussianDdpm source(SmallDenoiserConfig(), &init);
+  std::stringstream stream;
+  BinaryWriter writer(&stream);
+  source.Save(&writer);
+  BinaryReader reader(&stream);
+  auto loaded = GaussianDdpm::LoadFrom(&reader);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  GaussianDdpm* ddpm = loaded.Value().get();
+
+  constexpr int kThreads = 2;
+  const auto sample = [ddpm](int t) {
+    Rng rng_a(100 + t), rng_b(200 + t);
+    return ddpm->SampleCoalesced({3 + t, 4}, {&rng_a, &rng_b}, 10, 1.0);
+  };
+  std::vector<Matrix> serial;
+  for (int t = 0; t < kThreads; ++t) serial.push_back(sample(t));
+  std::vector<Matrix> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { concurrent[t] = sample(t); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(SameBytes(concurrent[t], serial[t])) << "thread " << t;
   }
 }
 

@@ -50,9 +50,10 @@ struct GemmProblem {
   GemmActivation act = GemmActivation::kNone;
 };
 
-// Runs the reference, the public dispatcher, and the forced packed path on
-// the same inputs and asserts all three produce identical bytes. Returns
-// the reference output so callers can add their own cross-run assertions.
+// Runs the reference, the public dispatcher, the forced packed path and the
+// prepacked entry point on the same inputs and asserts all four produce
+// identical bytes. Returns the reference output so callers can add their
+// own cross-run assertions.
 std::vector<float> CheckAllPathsAgree(const GemmProblem& p, Rng* rng) {
   // Tight leading dimensions for the chosen transpose reading: op(A) is
   // m x k stored (m x k) or (k x m); op(B) is k x n stored (k x n) or
@@ -92,6 +93,17 @@ std::vector<float> CheckAllPathsAgree(const GemmProblem& p, Rng* rng) {
                           c_packed.data(), ldc, bias_ptr, p.act);
   EXPECT_TRUE(BytesEqual(c_packed, c_ref))
       << "packed kernel != reference at m=" << p.m << " n=" << p.n
+      << " k=" << p.k << " ta=" << p.trans_a << " tb=" << p.trans_b
+      << " alpha=" << p.alpha << " beta=" << p.beta << " bias=" << p.bias;
+
+  // B packed once up front, as an inference weight is: the same tile loop
+  // reading the stored panels instead of a per-call repack.
+  const PackedB packed_b(p.trans_b, p.k, p.n, b.data(), ldb);
+  std::vector<float> c_prepacked = c_init;
+  GemmPrepacked(p.trans_a, p.m, p.alpha, a.data(), lda, packed_b, p.beta,
+                c_prepacked.data(), ldc, bias_ptr, p.act);
+  EXPECT_TRUE(BytesEqual(c_prepacked, c_ref))
+      << "prepacked kernel != reference at m=" << p.m << " n=" << p.n
       << " k=" << p.k << " ta=" << p.trans_a << " tb=" << p.trans_b
       << " alpha=" << p.alpha << " beta=" << p.beta << " bias=" << p.bias;
   return c_ref;

@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -360,6 +361,33 @@ TEST(FusedPathTest, FusedLinearGeluInferenceMatchesUnfusedBytes) {
     const Matrix via_modules = seq_gelu->Forward(
         seq_linear->Forward(input, /*training=*/false), false);
     EXPECT_TRUE(BytesEqual(via_net, via_modules)) << "threads=" << threads;
+  }
+}
+
+// A packed Linear runs the prepacked kernel on every shape, including the
+// small ones the unpacked path sends to the direct loop; both inference
+// entry points must keep their bytes at the denoiser's shapes (input,
+// hidden, output and skip projections at serving batch sizes).
+TEST(FusedPathTest, PackedLinearMatchesUnpackedBytes) {
+  Rng rng(36);
+  const std::pair<int, int> shapes[] = {
+      {45, 256}, {256, 256}, {256, 13}, {13, 13}};
+  for (const auto& [in, out] : shapes) {
+    Rng init_a(37), init_b(37);
+    Linear unpacked(in, out, &init_a);
+    Linear packed(in, out, &init_b);
+    packed.PackWeights();
+    ASSERT_TRUE(packed.packed());
+    for (int m : {1, 4, 7, 13}) {
+      const Matrix input = Matrix::RandomNormal(m, in, &rng);
+      EXPECT_TRUE(BytesEqual(packed.Forward(input, /*training=*/false),
+                             unpacked.Forward(input, /*training=*/false)))
+          << "Forward m=" << m << " k=" << in << " n=" << out;
+      EXPECT_TRUE(BytesEqual(packed.ForwardFusedGelu(input),
+                             unpacked.ForwardFusedGelu(input)))
+          << "ForwardFusedGelu m=" << m << " k=" << in << " n=" << out;
+    }
+    ASSERT_TRUE(packed.packed());
   }
 }
 
