@@ -1,5 +1,7 @@
 #include "common/archive.h"
 
+#include <algorithm>
+
 namespace silofuse {
 
 namespace {
@@ -59,42 +61,42 @@ Result<bool> BinaryReader::ReadBool() {
   return v == 1;
 }
 
-Result<std::string> BinaryReader::ReadString() {
+template <typename Container>
+Result<Container> BinaryReader::ReadSequence(const char* what) {
   SF_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
   if (size > kMaxArchiveVectorLength) {
-    return Status::IOError("corrupt string length in archive");
+    return Status::IOError(std::string("corrupt ") + what +
+                           " length in archive");
   }
-  std::string v(size, '\0');
-  if (!in_->read(v.data(), static_cast<std::streamsize>(size))) {
-    return Status::IOError("unexpected end of archive in string");
+  // Bounded chunks: a corrupt length fails at the end of the stream instead
+  // of first allocating up to kMaxArchiveVectorLength elements.
+  using T = typename Container::value_type;
+  constexpr uint64_t kChunkElements = (uint64_t{1} << 20) / sizeof(T);
+  Container v;
+  while (v.size() < size) {
+    const size_t done = v.size();
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(kChunkElements, size - done));
+    v.resize(done + n);
+    if (!in_->read(reinterpret_cast<char*>(v.data() + done),
+                   static_cast<std::streamsize>(n * sizeof(T)))) {
+      return Status::IOError(std::string("unexpected end of archive in ") +
+                             what);
+    }
   }
   return v;
+}
+
+Result<std::string> BinaryReader::ReadString() {
+  return ReadSequence<std::string>("string");
 }
 
 Result<std::vector<float>> BinaryReader::ReadFloatVector() {
-  SF_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
-  if (size > kMaxArchiveVectorLength) {
-    return Status::IOError("corrupt vector length in archive");
-  }
-  std::vector<float> v(size);
-  if (!in_->read(reinterpret_cast<char*>(v.data()),
-                 static_cast<std::streamsize>(size * sizeof(float)))) {
-    return Status::IOError("unexpected end of archive in float vector");
-  }
-  return v;
+  return ReadSequence<std::vector<float>>("float vector");
 }
 
 Result<std::vector<double>> BinaryReader::ReadDoubleVector() {
-  SF_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
-  if (size > kMaxArchiveVectorLength) {
-    return Status::IOError("corrupt vector length in archive");
-  }
-  std::vector<double> v(size);
-  if (!in_->read(reinterpret_cast<char*>(v.data()),
-                 static_cast<std::streamsize>(size * sizeof(double)))) {
-    return Status::IOError("unexpected end of archive in double vector");
-  }
-  return v;
+  return ReadSequence<std::vector<double>>("double vector");
 }
 
 Status BinaryReader::ExpectTag(const std::string& tag) {

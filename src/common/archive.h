@@ -58,6 +58,9 @@ class BinaryReader {
  private:
   template <typename T>
   Result<T> ReadRaw();
+  /// A u64 element count, then that many elements of Container.
+  template <typename Container>
+  Result<Container> ReadSequence(const char* what);
 
   std::istream* in_;  // not owned
 };

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "metrics/association.h"
+#include "metrics/resemblance.h"
+#include "privacy/attacks.h"
 
 namespace silofuse {
 
@@ -35,6 +37,11 @@ std::vector<double> CodeFrequencies(const Table& table, int column,
     for (double& f : freq) f /= table.num_rows();
   }
   return freq;
+}
+
+bool AllFinite(const std::vector<double>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
 }
 
 /// Fraction of `values` that are <= x (empirical CDF).
@@ -96,14 +103,24 @@ Result<ReferenceStats> ReferenceStats::Load(BinaryReader* reader) {
   const int num_columns = stats.schema.num_columns();
   stats.columns.resize(num_columns);
   for (int c = 0; c < num_columns; ++c) {
-    SF_ASSIGN_OR_RETURN(stats.columns[c].quantiles,
-                        reader->ReadDoubleVector());
-    SF_ASSIGN_OR_RETURN(stats.columns[c].frequencies,
-                        reader->ReadDoubleVector());
+    ColumnSketch& sketch = stats.columns[c];
+    SF_ASSIGN_OR_RETURN(sketch.quantiles, reader->ReadDoubleVector());
+    SF_ASSIGN_OR_RETURN(sketch.frequencies, reader->ReadDoubleVector());
+    const ColumnSpec& spec = stats.schema.column(c);
+    const size_t quantiles = spec.is_categorical() ? 0 : kSketchQuantiles;
+    const size_t codes = spec.is_categorical() ? spec.cardinality : 0;
+    if ((!sketch.quantiles.empty() && sketch.quantiles.size() != quantiles) ||
+        sketch.frequencies.size() != codes || !AllFinite(sketch.quantiles) ||
+        !std::all_of(sketch.frequencies.begin(), sketch.frequencies.end(),
+                     [](double f) { return f >= 0.0 && f <= 1.0; })) {
+      return Status::IOError("corrupt sketch for column '" + spec.name +
+                             "' in reference stats");
+    }
   }
   SF_ASSIGN_OR_RETURN(stats.associations, reader->ReadDoubleVector());
   if (stats.associations.size() !=
-      static_cast<size_t>(num_columns) * num_columns) {
+          static_cast<size_t>(num_columns) * num_columns ||
+      !AllFinite(stats.associations)) {
     return Status::IOError("corrupt association summary in reference stats");
   }
   SF_ASSIGN_OR_RETURN(const uint64_t sample_rows, reader->ReadU64());
@@ -203,6 +220,28 @@ Result<double> AssociationDriftFromReference(const ReferenceStats& stats,
         "degenerate audit batch produced a non-finite association drift");
   }
   return drift;
+}
+
+Result<QualityScores> ScoreAgainstReference(const ReferenceStats& stats,
+                                            const Table& batch, uint64_t seed,
+                                            int64_t pass) {
+  QualityScores scores;
+  SF_ASSIGN_OR_RETURN(scores.marginal_distance,
+                      MarginalDistanceToSketch(stats, batch));
+  SF_ASSIGN_OR_RETURN(scores.correlation_drift,
+                      AssociationDriftFromReference(stats, batch));
+  SF_ASSIGN_OR_RETURN(const ResemblanceBreakdown quick,
+                      ComputeResemblanceQuick(stats.reference_sample, batch));
+  scores.utility_proxy = quick.overall;
+  PrivacyConfig privacy;
+  privacy.num_attacks = batch.num_rows();
+  Rng dcr_rng(seed ^
+              (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(pass + 1)));
+  SF_ASSIGN_OR_RETURN(const DcrResult dcr,
+                      DistanceToClosestRecord(stats.reference_sample, batch,
+                                              privacy, &dcr_rng));
+  scores.dcr_p5 = dcr.p5_synthetic;
+  return scores;
 }
 
 }  // namespace silofuse

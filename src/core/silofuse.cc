@@ -165,6 +165,23 @@ Status SiloFuse::FitPartitioned(std::vector<Table> parts,
   }
   Matrix z = Matrix::ConcatCols(latents);
 
+  // Reference statistics of the reassembled training table: the quality
+  // probes score against them, and the checkpoint carries them so a serving
+  // host can score live traffic without the training data. A private
+  // fixed-seed Rng leaves the trajectory and the caller's rng untouched, and
+  // the reassembled table is freed before the backbone trains.
+  reference_stats_ = ReferenceStats{};
+  if (options_.reference_stats_rows > 0) {
+    std::vector<Table> feature_parts;
+    feature_parts.reserve(clients_.size());
+    for (auto& client : clients_) feature_parts.push_back(client->features());
+    SF_ASSIGN_OR_RETURN(const Table training,
+                        ReassembleColumns(feature_parts, partition_));
+    Rng stats_rng(ReferenceStats::kCaptureSeed);
+    reference_stats_ = ReferenceStats::Capture(
+        training, options_.reference_stats_rows, &stats_rng);
+  }
+
   // --- Lines 11-15: coordinator trains the diffusion backbone locally ---
   coordinator_ = std::make_unique<Coordinator>(options_.base.diffusion);
   Rng coord_rng = rng->Fork();
@@ -172,35 +189,18 @@ Status SiloFuse::FitPartitioned(std::vector<Table> parts,
   // Optional mid-training quality probes: periodically run Algorithm 2
   // end-to-end (sample latents from the half-trained backbone, decode on
   // each surviving silo, reassemble) and score the result against the
-  // reassembled training features. Probes draw from their own fixed-seed
-  // Rng, so the training trajectory is unchanged.
+  // reference statistics.
   obs::health::QualityProbe probe;
-  Table probe_reference;  // must outlive TrainOnLatents
   if (options_.base.quality_probe_every > 0) {
-    std::vector<Table> feature_parts;
-    feature_parts.reserve(clients_.size());
-    for (auto& client : clients_) feature_parts.push_back(client->features());
-    SF_ASSIGN_OR_RETURN(probe_reference,
-                        ReassembleColumns(feature_parts, partition_));
     probe.every_steps = options_.base.quality_probe_every;
-    probe.rows = std::max(
-        1, std::min(options_.base.quality_probe_rows, probe_reference.num_rows()));
-    probe.reference = &probe_reference;
+    probe.reference = &reference_stats_;
     probe.prefix = "quality.coordinator";
     probe.synthesize = [this](int rows, Rng* probe_rng) -> Result<Table> {
       SF_ASSIGN_OR_RETURN(
-          Matrix latent_sample,
+          const Matrix z,
           coordinator_->SampleLatents(rows, options_.base.inference_steps,
                                       options_.base.sampling_eta, probe_rng));
-      std::vector<Table> decoded;
-      decoded.reserve(clients_.size());
-      int offset = 0;
-      for (auto& client : clients_) {
-        Matrix z_i = latent_sample.SliceCols(offset, client->latent_dim());
-        offset += client->latent_dim();
-        decoded.push_back(client->Decode(z_i, probe_rng, /*sample=*/true));
-      }
-      return ReassembleColumns(decoded, partition_);
+      return DecodeAndReassemble(z, probe_rng);
     };
   }
   {
@@ -210,24 +210,6 @@ Status SiloFuse::FitPartitioned(std::vector<Table> parts,
     SF_RETURN_NOT_OK(coordinator_->TrainOnLatents(
         z, options_.base.diffusion_train_steps, options_.base.batch_size,
         &coord_rng, probe.every_steps > 0 ? &probe : nullptr));
-  }
-
-  // Reference-statistics capture for online quality auditing: marginal
-  // sketches, the pairwise association summary, and a row subsample of the
-  // reassembled training table ride along in the checkpoint so a serving
-  // host can score live traffic without the training data. Runs after
-  // training from a private fixed-seed Rng — neither the trajectory nor the
-  // caller's rng stream changes.
-  reference_stats_ = ReferenceStats{};
-  if (options_.reference_stats_rows > 0) {
-    std::vector<Table> feature_parts;
-    feature_parts.reserve(clients_.size());
-    for (auto& client : clients_) feature_parts.push_back(client->features());
-    SF_ASSIGN_OR_RETURN(Table training,
-                        ReassembleColumns(feature_parts, partition_));
-    Rng stats_rng(0x5f5e7a7501ULL);
-    reference_stats_ = ReferenceStats::Capture(
-        training, options_.reference_stats_rows, &stats_rng);
   }
   fitted_ = true;
   return Status::OK();
@@ -364,20 +346,26 @@ Result<std::vector<Table>> SiloFuse::SynthesizeCoalesced(
   outputs.reserve(requests.size());
   int row_offset = 0;
   for (const CoalescedRequest& request : requests) {
-    Matrix z_request = z.SliceRows(row_offset, request.rows);
+    SF_ASSIGN_OR_RETURN(
+        Table table,
+        DecodeAndReassemble(z.SliceRows(row_offset, request.rows),
+                            request.rng));
     row_offset += request.rows;
-    std::vector<Table> decoded;
-    decoded.reserve(clients_.size());
-    int col_offset = 0;
-    for (auto& client : clients_) {
-      Matrix z_i = z_request.SliceCols(col_offset, client->latent_dim());
-      col_offset += client->latent_dim();
-      decoded.push_back(client->Decode(z_i, request.rng, /*sample=*/true));
-    }
-    SF_ASSIGN_OR_RETURN(Table table, ReassembleColumns(decoded, partition_));
     outputs.push_back(std::move(table));
   }
   return outputs;
+}
+
+Result<Table> SiloFuse::DecodeAndReassemble(const Matrix& z, Rng* rng) {
+  std::vector<Table> decoded;
+  decoded.reserve(clients_.size());
+  int col_offset = 0;
+  for (auto& client : clients_) {
+    Matrix z_i = z.SliceCols(col_offset, client->latent_dim());
+    col_offset += client->latent_dim();
+    decoded.push_back(client->Decode(z_i, rng, /*sample=*/true));
+  }
+  return ReassembleColumns(decoded, partition_);
 }
 
 namespace {

@@ -37,11 +37,11 @@ struct SiloFuseOptions {
   /// every silo; any permanent upload failure aborts Fit with kUnavailable.
   int min_clients = 0;
   /// Rows of the training table retained as the checkpoint's DCR/utility
-  /// reference sample (core/reference_stats.h). Captured after training from
-  /// a fixed-seed Rng, so the training trajectory and the caller's rng are
-  /// untouched. 0 disables capture entirely — the checkpoint is then
-  /// byte-compatible with the pre-ReferenceStats format.
-  int reference_stats_rows = 256;
+  /// reference sample (core/reference_stats.h). Captured before the latent
+  /// DDPM trains, from a fixed-seed Rng, so the training trajectory and the
+  /// caller's rng are untouched. 0 disables capture — the checkpoint is then
+  /// in the pre-ReferenceStats format, and quality probes do not run.
+  int reference_stats_rows = ReferenceStats::kDefaultSampleRows;
 };
 
 /// Per-call override of the inference schedule (Algorithm 2, lines 3-4).
@@ -149,9 +149,9 @@ class SiloFuse : public Synthesizer {
   /// fault-free or fully-recovered run).
   const std::vector<int>& degraded_silos() const { return degraded_silos_; }
 
-  /// Training-time reference statistics for online quality auditing.
-  /// Empty when capture was disabled or the checkpoint predates the
-  /// ReferenceStats section ("no reference").
+  /// Training-time reference statistics for quality probes and online
+  /// auditing. Empty when capture was disabled or the checkpoint predates
+  /// the ReferenceStats section ("no reference").
   const ReferenceStats& reference_stats() const { return reference_stats_; }
   bool has_reference_stats() const { return !reference_stats_.empty(); }
 
@@ -174,6 +174,10 @@ class SiloFuse : public Synthesizer {
       const std::string& path);
 
  private:
+  /// Algorithm 2's client side: each client decodes its column slice of `z`
+  /// with `rng`, in silo order, and the slices are reassembled.
+  Result<Table> DecodeAndReassemble(const Matrix& z, Rng* rng);
+
   SiloFuseOptions options_;
   std::vector<std::vector<int>> partition_;
   std::vector<std::unique_ptr<SiloClient>> clients_;

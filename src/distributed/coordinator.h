@@ -27,11 +27,11 @@ class Coordinator {
   /// (lines 10-15 of Algorithm 1). Latents are standardized internally.
   /// Runs under the training-health watchdog: a diverging or NaN-poisoned
   /// backbone aborts with kFailedPrecondition naming the offending layer
-  /// and step. An optional quality probe periodically samples a small
-  /// latent batch from the partially trained backbone (probe->synthesize
-  /// decodes it back to a table) and scores it against probe->reference,
-  /// emitting a `quality.*` metric time-series; the probe draws from its
-  /// own fixed-seed Rng, so training is byte-identical with probes on.
+  /// and step. An optional quality probe periodically samples a latent
+  /// batch from the partially trained backbone (probe->synthesize decodes
+  /// it back to a table) and scores it against probe->reference, emitting a
+  /// `quality.*` metric time-series; the probe draws from its own
+  /// fixed-seed Rng, so training is byte-identical with probes on.
   Status TrainOnLatents(const Matrix& latents, int steps, int batch_size,
                         Rng* rng,
                         const obs::health::QualityProbe* probe = nullptr);

@@ -30,11 +30,12 @@ struct ResemblanceBreakdown {
 Result<ResemblanceBreakdown> ComputeResemblance(const Table& real,
                                                 const Table& synth, Rng* rng);
 
-/// Cheap deterministic subset for mid-training quality probes: column
-/// similarity (1), Jensen-Shannon (3), and Kolmogorov-Smirnov (4) only —
-/// no GBT propensity model, no association matrices — with `overall` the
-/// mean of the three. The skipped components stay 0. Costs milliseconds on
-/// probe-sized batches, so it can run inside a training loop.
+/// Cheap deterministic subset, the utility proxy of ScoreAgainstReference
+/// (core/reference_stats.h): column similarity (1), Jensen-Shannon (3), and
+/// Kolmogorov-Smirnov (4) only — no GBT propensity model, no association
+/// matrices — with `overall` the mean of the three. The skipped components
+/// stay 0. Costs milliseconds on probe-sized batches, so it can run inside
+/// a training loop.
 Result<ResemblanceBreakdown> ComputeResemblanceQuick(const Table& real,
                                                      const Table& synth);
 

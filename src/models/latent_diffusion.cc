@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/reference_stats.h"
 #include "data/split.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -38,14 +39,16 @@ Status LatentDiffSynthesizer::Fit(const Table& data, Rng* rng) {
 
   // Optional mid-training quality probes (see LatentDiffusionConfig): the
   // probe samples latents from the half-trained backbone, decodes through
-  // the frozen autoencoder, and scores against the training table. Probes
-  // draw from their own fixed-seed Rng, so training is byte-identical.
+  // the frozen autoencoder, and scores against the training table's
+  // reference statistics.
+  ReferenceStats reference;
   obs::health::QualityProbe probe;
   if (config_.quality_probe_every > 0) {
+    Rng stats_rng(ReferenceStats::kCaptureSeed);
+    reference = ReferenceStats::Capture(
+        data, ReferenceStats::kDefaultSampleRows, &stats_rng);
     probe.every_steps = config_.quality_probe_every;
-    probe.rows =
-        std::max(1, std::min(config_.quality_probe_rows, data.num_rows()));
-    probe.reference = &data;
+    probe.reference = &reference;
     probe.prefix = "quality.latentdiff";
     probe.synthesize = [this](int rows, Rng* probe_rng) -> Result<Table> {
       SF_ASSIGN_OR_RETURN(
@@ -68,6 +71,9 @@ Status LatentDiffSynthesizer::Fit(const Table& data, Rng* rng) {
     // re-establishes the layer caches its Backward needs.
     SF_RETURN_NOT_OK(probe_runner.MaybeRun(s + 1));
   }
+  // The weights are fixed from here on: pack them once and drop the grads
+  // and Adam moments sampling never reads.
+  diffusion_->PrepareForSampling();
   SF_LOG(Debug) << name() << ": diffusion loss " << running;
   return Status::OK();
 }

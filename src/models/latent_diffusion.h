@@ -20,13 +20,13 @@ struct LatentDiffusionConfig {
   double sampling_eta = 1.0;  // ancestral sampling
 
   /// Mid-training quality probes: every `quality_probe_every` diffusion
-  /// steps, synthesize `quality_probe_rows` rows from the partially trained
-  /// backbone, decode them, and score cheap resemblance stats against the
-  /// training data into `quality.*` gauges. 0 disables (the default — probes
-  /// cost one small synthesis pass each). Probes use their own fixed-seed
-  /// Rng, so the training trajectory is byte-identical either way.
+  /// steps, synthesize a batch from the partially trained backbone, decode
+  /// it, and score it against the training data's ReferenceStats with the
+  /// serving auditor's scorer into `quality.*` gauges (obs/health.h). 0
+  /// disables (the default — probes cost one small synthesis pass each).
+  /// Probes use their own fixed-seed Rng, so the training trajectory is
+  /// byte-identical either way.
   int quality_probe_every = 0;
-  int quality_probe_rows = 64;
 };
 
 /// LatentDiff: the centralized latent tabular DDPM of Fig. 4/5 — one

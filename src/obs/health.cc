@@ -6,9 +6,9 @@
 #include <limits>
 #include <sstream>
 
-#include "metrics/resemblance.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/quality_audit.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 
@@ -254,37 +254,41 @@ Status TrainingMonitor::OnStep(
 QualityProbeRunner::QualityProbeRunner(QualityProbe probe)
     : probe_(std::move(probe)) {}
 
-bool QualityProbeRunner::enabled() const {
-  return probe_.every_steps > 0 && probe_.reference != nullptr &&
-         probe_.synthesize != nullptr;
-}
-
 Status QualityProbeRunner::MaybeRun(int64_t step) {
-  if (!enabled() || step <= 0 || step % probe_.every_steps != 0) {
+  if (probe_.every_steps <= 0 || step <= 0 || step % probe_.every_steps != 0 ||
+      probe_.reference == nullptr || !probe_.reference->scoreable() ||
+      probe_.synthesize == nullptr) {
     return Status::OK();
   }
   SF_TRACE_SPAN("health.quality_probe");
   // Independent fixed-seed stream per probe: the training Rng is never
   // touched, so the training trajectory is byte-identical with probes on.
-  Rng rng(probe_.seed + static_cast<uint64_t>(runs_));
-  SF_ASSIGN_OR_RETURN(const Table synth, probe_.synthesize(probe_.rows, &rng));
-  SF_ASSIGN_OR_RETURN(const ResemblanceBreakdown score,
-                      ComputeResemblanceQuick(*probe_.reference, synth));
+  constexpr uint64_t kProbeSeed = 0x517f;
+  const QualityAuditOptions audit;
+  Rng rng(kProbeSeed + static_cast<uint64_t>(runs_));
+  SF_ASSIGN_OR_RETURN(const Table synth,
+                      probe_.synthesize(audit.reservoir_rows, &rng));
+  const Result<QualityScores> scored =
+      ScoreAgainstReference(*probe_.reference, synth, audit.seed, runs_);
   MetricsRegistry& registry = MetricsRegistry::Global();
-  auto gauge = [&](const std::string& suffix, double value) {
-    registry.GetGauge(probe_.prefix + suffix)->Set(value);
-  };
-  gauge(".column_similarity", score.column_similarity);
-  gauge(".jensen_shannon", score.jensen_shannon);
-  gauge(".kolmogorov_smirnov", score.kolmogorov_smirnov);
-  gauge(".overall", score.overall);
-  gauge(".step", static_cast<double>(step));
-  gauge(".series." + std::to_string(runs_) + ".overall", score.overall);
-  gauge(".series." + std::to_string(runs_) + ".step",
-        static_cast<double>(step));
   registry.GetCounter(probe_.prefix + ".probes")->Increment();
-  EmitCounterTrack(probe_.prefix + ".overall", score.overall);
-  ++runs_;
+  const std::string series = ".series." + std::to_string(runs_++);
+  if (!scored.ok()) {
+    registry.GetCounter(probe_.prefix + ".degenerate")->Increment();
+    return Status::OK();
+  }
+  const QualityScores& scores = scored.Value();
+  const std::pair<const char*, double> gauges[] = {
+      {".marginal_distance", scores.marginal_distance},
+      {".correlation_drift", scores.correlation_drift},
+      {".utility_proxy", scores.utility_proxy},
+      {".dcr_p5", scores.dcr_p5},
+      {".step", static_cast<double>(step)}};
+  for (const auto& [suffix, value] : gauges) {
+    registry.GetGauge(probe_.prefix + suffix)->Set(value);
+    registry.GetGauge(probe_.prefix + series + suffix)->Set(value);
+  }
+  EmitCounterTrack(probe_.prefix + ".utility_proxy", scores.utility_proxy);
   return Status::OK();
 }
 

@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/reference_stats.h"
 #include "data/table.h"
 #include "nn/module.h"
 
@@ -132,34 +133,30 @@ class TrainingMonitor {
 };
 
 /// Mid-training quality probe configuration: every `every_steps` optimizer
-/// steps, synthesize `rows` rows with `synthesize` and score them against
-/// `reference` with ComputeResemblanceQuick, emitting a `<prefix>.*` metric
-/// time-series. The probe draws from its own fixed-seed Rng (derived from
-/// `seed` + probe index), never the training Rng, so enabling probes does
-/// not perturb the training trajectory.
+/// steps, synthesize QualityAuditOptions::reservoir_rows rows and score them
+/// against `reference` with ScoreAgainstReference, the serving auditor's
+/// scorer, so training-time and serving-time scores are one family. Each
+/// probe draws from its own fixed-seed Rng, never the training Rng, so
+/// probes do not perturb training. No scoreable() reference: no probe.
 struct QualityProbe {
-  int every_steps = 0;  // <= 0 disables
-  int rows = 64;
-  uint64_t seed = 0x517f;
-  const Table* reference = nullptr;  // borrowed; must outlive training
+  int every_steps = 0;                        // <= 0 disables
+  const ReferenceStats* reference = nullptr;  // borrowed; outlives training
   std::function<Result<Table>(int rows, Rng* rng)> synthesize;
   std::string prefix = "quality";
 };
 
 /// Stateful runner for one training loop's probe schedule. Gauges:
-/// `<prefix>.{column_similarity,jensen_shannon,kolmogorov_smirnov,overall,
-/// step}` hold the latest probe; `<prefix>.series.<k>.{overall,step}` keep
-/// the full trajectory; counter `<prefix>.probes` counts runs. Probe
-/// failures (too few rows, schema drift) are returned, not swallowed.
+/// `<prefix>.{marginal_distance,correlation_drift,utility_proxy,dcr_p5,
+/// step}` hold the latest scored probe; `<prefix>.series.<k>.*` the same
+/// for scored probe k. Counters: `<prefix>.probes` counts runs,
+/// `<prefix>.degenerate` the batches the scorer refused (a quality signal,
+/// as in an audit, not a training error). A failed synthesis is returned.
 class QualityProbeRunner {
  public:
   explicit QualityProbeRunner(QualityProbe probe);
 
   /// Runs the probe when `step` is a positive multiple of `every_steps`.
   Status MaybeRun(int64_t step);
-
-  bool enabled() const;
-  int probes_run() const { return runs_; }
 
  private:
   QualityProbe probe_;

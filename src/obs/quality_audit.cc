@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 
 #ifdef __linux__
 #include <sys/resource.h>
@@ -12,20 +10,14 @@
 #include <unistd.h>
 #endif
 
-#include "metrics/resemblance.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "privacy/attacks.h"
 
 namespace silofuse {
 namespace obs {
 namespace {
-
-/// The utility proxy (ComputeResemblanceQuick) refuses tables under 10 rows,
-/// so a smaller embedded reference sample could never score a single audit.
-constexpr int kMinReferenceRows = 10;
 
 std::string FormatThreshold(const char* what, double value, const char* rel,
                             double limit) {
@@ -63,10 +55,6 @@ struct QualityAuditor::DeploymentState {
   AuditScores last;
 
   std::unique_ptr<SloMonitor> monitor;
-
-  /// Scored (non-degenerate) audits inside the long breach window, for the
-  /// _short/_long rolling-mean gauges.
-  std::deque<std::pair<int64_t, AuditScores>> history;
 };
 
 QualityAuditor::QualityAuditor(QualityAuditOptions options, Clock* clock)
@@ -130,8 +118,7 @@ QualityAuditor::DeploymentState* QualityAuditor::StateLocked(
 
 void QualityAuditor::SetReference(const std::string& deployment,
                                   ReferenceStats stats) {
-  const bool usable =
-      !stats.empty() && stats.reference_sample.num_rows() >= kMinReferenceRows;
+  const bool usable = stats.scoreable();
   std::lock_guard<std::mutex> lock(mu_);
   DeploymentState* state = StateLocked(deployment);
   state->reference =
@@ -221,7 +208,7 @@ int QualityAuditor::RunOnce() {
   // plane's batch worker) never waits on a scoring pass.
   for (Job& job : jobs) {
     ScoreBatch(job.deployment, job.state, std::move(job.reference), job.schema,
-               std::move(job.rows), now, job.audit_index);
+               std::move(job.rows), job.audit_index);
   }
   return static_cast<int>(jobs.size());
 }
@@ -231,55 +218,28 @@ void QualityAuditor::ScoreBatch(const std::string& deployment,
                                 std::shared_ptr<const ReferenceStats> reference,
                                 const Schema& schema,
                                 std::vector<std::vector<double>> rows,
-                                int64_t now_ns, int64_t audit_index) {
+                                int64_t audit_index) {
   auto& registry = MetricsRegistry::Global();
   const std::string prefix = "audit." + deployment;
 
-  AuditScores scores;
-  std::string degenerate_detail;
-  Table batch(schema);
-  for (const std::vector<double>& row : rows) {
-    const Status append = batch.AppendRow(row);
-    if (!append.ok()) {
-      degenerate_detail = append.ToString();
-      break;
+  // A batch the table or the scorers refuse (non-finite values, collapsed
+  // shapes) is degenerate: evidence of a broken sampler, so it files as a bad
+  // audit and burns breach budget instead of vanishing into an error path.
+  const Result<QualityScores> scored = [&]() -> Result<QualityScores> {
+    Table batch(schema);
+    for (const std::vector<double>& row : rows) {
+      SF_RETURN_NOT_OK(batch.AppendRow(row));
     }
-  }
-  if (degenerate_detail.empty()) {
-    auto marginal = MarginalDistanceToSketch(*reference, batch);
-    auto drift = AssociationDriftFromReference(*reference, batch);
-    auto quick = ComputeResemblanceQuick(reference->reference_sample, batch);
-    PrivacyConfig privacy;
-    privacy.num_attacks = batch.num_rows();
-    Rng dcr_rng(options_.seed ^ (0x9e3779b97f4a7c15ULL *
-                                 static_cast<uint64_t>(audit_index + 1)));
-    auto dcr = DistanceToClosestRecord(reference->reference_sample, batch,
-                                       privacy, &dcr_rng);
-    if (!marginal.ok()) {
-      degenerate_detail = marginal.status().ToString();
-    } else if (!drift.ok()) {
-      degenerate_detail = drift.status().ToString();
-    } else if (!quick.ok()) {
-      degenerate_detail = quick.status().ToString();
-    } else if (!dcr.ok()) {
-      degenerate_detail = dcr.status().ToString();
-    } else {
-      scores.marginal_distance = marginal.Value();
-      scores.correlation_drift = drift.Value();
-      scores.utility_proxy = quick.Value().overall;
-      scores.dcr_p5 = dcr.Value().p5_synthetic;
-    }
-  }
+    return ScoreAgainstReference(*reference, batch, options_.seed,
+                                 audit_index);
+  }();
 
-  const bool degenerate = !degenerate_detail.empty();
+  const bool degenerate = !scored.ok();
+  AuditScores scores;
   if (degenerate) {
-    // A batch the hardened scorers refuse (non-finite values, collapsed
-    // shapes) is itself evidence of a broken sampler: it files as a bad
-    // audit and burns breach budget, it does not vanish into an error path.
-    scores = AuditScores{};
-    scores.good = false;
-    scores.detail = degenerate_detail;
+    scores.detail = scored.status().ToString();
   } else {
+    static_cast<QualityScores&>(scores) = scored.Value();
     std::string problem;
     if (scores.marginal_distance > options_.max_marginal_distance) {
       problem = FormatThreshold("marginal distance", scores.marginal_distance,
@@ -318,42 +278,6 @@ void QualityAuditor::ScoreBatch(const std::string& deployment,
     if (!scores.good) ++state->bad_audits;
     if (degenerate) ++state->degenerate;
     state->last = scores;
-    if (!degenerate) {
-      state->history.emplace_back(now_ns, scores);
-      const int64_t horizon = now_ns - options_.breach.long_window_ns;
-      while (!state->history.empty() &&
-             state->history.front().first < horizon) {
-        state->history.pop_front();
-      }
-      // Short/long rolling means over the same windows the breach logic
-      // watches, so a dashboard can see a regression build before it pages.
-      const struct {
-        const char* suffix;
-        int64_t window_ns;
-      } windows[] = {{"_short", options_.breach.short_window_ns},
-                     {"_long", options_.breach.long_window_ns}};
-      for (const auto& window : windows) {
-        double marginal = 0.0, drift = 0.0, utility = 0.0, dcr = 0.0;
-        int64_t n = 0;
-        for (const auto& [ts, entry] : state->history) {
-          if (ts < now_ns - window.window_ns) continue;
-          marginal += entry.marginal_distance;
-          drift += entry.correlation_drift;
-          utility += entry.utility_proxy;
-          dcr += entry.dcr_p5;
-          ++n;
-        }
-        if (n == 0) continue;
-        const double dn = static_cast<double>(n);
-        registry.GetGauge(prefix + ".marginal_distance" + window.suffix)
-            ->Set(marginal / dn);
-        registry.GetGauge(prefix + ".correlation_drift" + window.suffix)
-            ->Set(drift / dn);
-        registry.GetGauge(prefix + ".utility_proxy" + window.suffix)
-            ->Set(utility / dn);
-        registry.GetGauge(prefix + ".dcr_p5" + window.suffix)->Set(dcr / dn);
-      }
-    }
   }
 
   // Arm the breach hook for this verdict, then file it. The monitor fires

@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -61,12 +60,8 @@ struct QualityAuditOptions {
   int64_t worker_period_ns = 250LL * 1000 * 1000;  // 250 ms
 };
 
-/// One scoring pass's results.
-struct AuditScores {
-  double marginal_distance = 0.0;
-  double correlation_drift = 0.0;
-  double utility_proxy = 0.0;  // 0-100, higher is better
-  double dcr_p5 = 0.0;         // 5th-percentile synthetic DCR
+/// One scoring pass's results: the shared scores plus the verdict.
+struct AuditScores : QualityScores {
   bool good = false;
   /// Why the audit was bad ("marginal distance 0.61 > 0.35"), or the
   /// degenerate-input status message; empty for a passing audit.
@@ -95,10 +90,8 @@ struct DeploymentAuditSnapshot {
 /// reservoir-samples rows per deployment (a bounded copy — the served bytes
 /// are never touched) and a dedicated low-priority audit task periodically
 /// scores each deployment's sample against the ReferenceStats captured at
-/// training time and restored from the checkpoint: marginal distance vs the
-/// per-column sketches, association drift vs the pairwise summary, the
-/// ComputeResemblanceQuick utility proxy against the embedded reference
-/// sample, and the 5th-percentile DCR privacy floor.
+/// training time and restored from the checkpoint, with the same
+/// ScoreAgainstReference the training-time quality probes use.
 ///
 /// Every audit verdict is filed into a per-deployment SloMonitor
 /// (metric prefix "audit.<deployment>"), so quality breaches use the same
@@ -106,13 +99,15 @@ struct DeploymentAuditSnapshot {
 /// the transition into breach the auditor records a kQualityBreach flight
 /// event and triggers a flight-recorder dump ("quality_breach").
 ///
-/// Gauges per deployment: audit.<name>.has_reference, the four scores (last
-/// value plus _short/_long rolling-window means), and the monitor's
-/// .breached/.burn_short/.burn_long/.breaches; counters audit.<name>.audits
-/// / .bad_audits / .degenerate / .sampled_rows.
+/// Gauges per deployment: audit.<name>.has_reference, the four scores of
+/// the last scored audit, and the monitor's .breached/.burn_short/
+/// .burn_long/.breaches; counters audit.<name>.audits / .bad_audits /
+/// .degenerate / .sampled_rows. Windowed views of the scores are the
+/// scraper's job (sf_top), as for every other gauge.
 ///
-/// Deployments without reference statistics (pre-ReferenceStats checkpoints)
-/// publish has_reference = 0 and are never scored or breached.
+/// Deployments without scoreable reference statistics (pre-ReferenceStats
+/// checkpoints, ReferenceStats::scoreable() false) publish has_reference = 0
+/// and are never scored or breached.
 ///
 /// Thread-safe; Observe is a short critical section (bounded row copies).
 class QualityAuditor {
@@ -130,9 +125,9 @@ class QualityAuditor {
   QualityAuditor(const QualityAuditor&) = delete;
   QualityAuditor& operator=(const QualityAuditor&) = delete;
 
-  /// Installs the training-time reference for `deployment`. Empty stats (or
-  /// a reference sample under 10 rows, too small for any scorer) mean "no
-  /// reference": the deployment is observed but never scored.
+  /// Installs the training-time reference for `deployment`. Stats that are
+  /// not scoreable() mean "no reference": the deployment is observed but
+  /// never scored.
   void SetReference(const std::string& deployment, ReferenceStats stats);
   bool HasReference(const std::string& deployment) const;
 
@@ -163,7 +158,7 @@ class QualityAuditor {
   void ScoreBatch(const std::string& deployment, DeploymentState* state,
                   std::shared_ptr<const ReferenceStats> reference,
                   const Schema& schema, std::vector<std::vector<double>> rows,
-                  int64_t now_ns, int64_t audit_index);
+                  int64_t audit_index);
 
   void WorkerLoop();
 

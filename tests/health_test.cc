@@ -14,14 +14,17 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/reference_stats.h"
 #include "core/silofuse.h"
 #include "data/generators/paper_datasets.h"
 #include "diffusion/gaussian_ddpm.h"
 #include "lib/json.h"
 #include "models/autoencoder.h"
+#include "models/latent_diffusion.h"
 #include "nn/linear.h"
 #include "nn/sequential.h"
 #include "obs/metrics.h"
+#include "obs/quality_audit.h"
 #include "runtime/parallel_for.h"
 #include "tensor/matrix.h"
 #include "tensor/mem_stats.h"
@@ -257,7 +260,6 @@ TEST_F(HealthTest, HealthySiloFuseRunHasNoWatchdogAborts) {
 TEST_F(HealthTest, QualityProbesEmitTimeSeriesInExportedJson) {
   SiloFuseOptions options = TinyOptions();
   options.base.quality_probe_every = 40;  // 3 probes over 120 diffusion steps
-  options.base.quality_probe_rows = 64;
   SiloFuse model(options);
   Rng rng(3);
   ASSERT_TRUE(
@@ -270,17 +272,132 @@ TEST_F(HealthTest, QualityProbesEmitTimeSeriesInExportedJson) {
   ASSERT_TRUE(doc.ok());
   const json::Value* gauges = doc.Value().Find("gauges");
   ASSERT_NE(gauges, nullptr);
-  EXPECT_NE(gauges->Find("quality.coordinator.overall"), nullptr);
-  EXPECT_NE(gauges->Find("quality.coordinator.series.0.overall"), nullptr);
+  // The probes publish the serving auditor's score names.
+  for (const char* score :
+       {"marginal_distance", "correlation_drift", "utility_proxy", "dcr_p5"}) {
+    EXPECT_NE(gauges->Find(std::string("quality.coordinator.") + score),
+              nullptr)
+        << score;
+    EXPECT_NE(gauges->Find(std::string("quality.coordinator.series.0.") + score),
+              nullptr)
+        << score;
+  }
   EXPECT_NE(gauges->Find("quality.coordinator.series.2.step"), nullptr);
   EXPECT_EQ(gauges->NumberOr("quality.coordinator.series.2.step", 0.0), 120.0);
   const json::Value* counters = doc.Value().Find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_EQ(counters->NumberOr("quality.coordinator.probes", 0.0), 3.0);
-  // Scores are percentages in (0, 100].
-  const double overall = gauges->NumberOr("quality.coordinator.overall", -1.0);
-  EXPECT_GT(overall, 0.0);
-  EXPECT_LE(overall, 100.0);
+  EXPECT_EQ(counters->NumberOr("quality.coordinator.degenerate", 0.0), 0.0);
+  // The utility proxy is a percentage in (0, 100].
+  const double utility =
+      gauges->NumberOr("quality.coordinator.utility_proxy", -1.0);
+  EXPECT_GT(utility, 0.0);
+  EXPECT_LE(utility, 100.0);
+}
+
+TEST_F(HealthTest, QualityProbeScoresEqualAuditorScores) {
+  // One scorer: the same reference, batch and DCR seed give the same four
+  // scores through a training probe and through a serving audit.
+  const Table training = GeneratePaperDataset("loan", 400, 20).Value();
+  Rng stats_rng(21);
+  const ReferenceStats stats = ReferenceStats::Capture(training, 64, &stats_rng);
+  QualityAuditOptions audit_options;
+  audit_options.start_worker = false;
+  const int rows = audit_options.reservoir_rows;
+  // A batch of exactly reservoir_rows rows fills the reservoir in order, so
+  // the audit scores the very table the probe scores.
+  const Table batch = GeneratePaperDataset("loan", rows, 22).Value();
+
+  QualityProbe probe;
+  probe.every_steps = 1;
+  probe.reference = &stats;
+  probe.prefix = "quality.parity";
+  probe.synthesize = [&](int probe_rows, Rng*) -> Result<Table> {
+    EXPECT_EQ(probe_rows, rows);
+    return batch;
+  };
+  QualityProbeRunner runner(probe);
+  ASSERT_TRUE(runner.MaybeRun(1).ok());
+
+  QualityAuditor auditor(audit_options);
+  auditor.SetReference("parity", stats);
+  auditor.Observe("parity", batch);
+  ASSERT_EQ(auditor.RunOnce(), 1);
+  const auto snapshots = auditor.Snapshot();
+  ASSERT_EQ(snapshots.size(), 1u);
+  ASSERT_EQ(snapshots[0].degenerate, 0);
+  const AuditScores& audited = snapshots[0].last;
+  EXPECT_EQ(GaugeValue("quality.parity.marginal_distance"),
+            audited.marginal_distance);
+  EXPECT_EQ(GaugeValue("quality.parity.correlation_drift"),
+            audited.correlation_drift);
+  EXPECT_EQ(GaugeValue("quality.parity.utility_proxy"),
+            audited.utility_proxy);
+  EXPECT_EQ(GaugeValue("quality.parity.dcr_p5"), audited.dcr_p5);
+  EXPECT_GT(audited.dcr_p5, 0.0);
+}
+
+TEST_F(HealthTest, DegenerateProbeBatchIsCountedNotAnError) {
+  const Table training = GeneratePaperDataset("loan", 200, 30).Value();
+  Rng stats_rng(31);
+  const ReferenceStats stats = ReferenceStats::Capture(training, 64, &stats_rng);
+  // A sampler that collapsed to NaN: every numeric column is non-finite.
+  QualityProbe probe;
+  probe.every_steps = 10;
+  probe.reference = &stats;
+  probe.prefix = "quality.collapsed";
+  probe.synthesize = [&](int rows, Rng*) -> Result<Table> {
+    std::vector<std::vector<double>> columns(
+        training.num_columns(),
+        std::vector<double>(rows, std::numeric_limits<double>::quiet_NaN()));
+    for (int c = 0; c < training.num_columns(); ++c) {
+      if (training.schema().column(c).is_categorical()) {
+        columns[c].assign(rows, 0.0);
+      }
+    }
+    return Table::FromColumns(training.schema(), std::move(columns));
+  };
+  QualityProbeRunner runner(probe);
+  EXPECT_TRUE(runner.MaybeRun(10).ok());
+  EXPECT_TRUE(runner.MaybeRun(20).ok());
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snap.counters.at("quality.collapsed.degenerate"), 2);
+  EXPECT_EQ(snap.counters.at("quality.collapsed.probes"), 2);
+  // No scores were published for a batch the scorer refused.
+  EXPECT_TRUE(std::isnan(GaugeValue("quality.collapsed.utility_proxy")));
+  EXPECT_TRUE(std::isnan(GaugeValue("quality.collapsed.series.1.step")));
+}
+
+TEST_F(HealthTest, QualityProbesNeedAReference) {
+  // reference_stats_rows = 0 captures no reference, so, as for an audit of
+  // a deployment without one, no probe runs.
+  SiloFuseOptions options = TinyOptions();
+  options.base.autoencoder_steps = 20;
+  options.base.diffusion_train_steps = 40;
+  options.base.quality_probe_every = 20;
+  options.reference_stats_rows = 0;
+  SiloFuse model(options);
+  Rng rng(5);
+  ASSERT_TRUE(
+      model.Fit(GeneratePaperDataset("loan", 120, 21).Value(), &rng).ok());
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  auto it = snap.counters.find("quality.coordinator.probes");
+  EXPECT_TRUE(it == snap.counters.end() || it->second == 0);
+}
+
+TEST_F(HealthTest, LatentDiffProbesScoreAgainstItsOwnReference) {
+  LatentDiffusionConfig config = TinyOptions().base;
+  config.autoencoder_steps = 20;
+  config.diffusion_train_steps = 40;
+  config.quality_probe_every = 20;
+  LatentDiffSynthesizer model(config);
+  Rng rng(9);
+  ASSERT_TRUE(model.Fit(GeneratePaperDataset("loan", 200, 21).Value(), &rng)
+                  .ok());
+  const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snap.counters.at("quality.latentdiff.probes"), 2);
+  EXPECT_EQ(GaugeValue("quality.latentdiff.series.1.step"), 40.0);
+  EXPECT_GT(GaugeValue("quality.latentdiff.utility_proxy"), 0.0);
 }
 
 TEST_F(HealthTest, QualityProbesDoNotPerturbTraining) {

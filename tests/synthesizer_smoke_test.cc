@@ -56,6 +56,19 @@ TEST(SynthesizerSmokeTest, LatentDiff) {
   ExpectValidSynthesis(&model, SmallData(), 50.0);
 }
 
+TEST(SynthesizerSmokeTest, FittedLatentDiffDropsTrainingState) {
+  // A fitted model holds what sampling reads: no gradients.
+  LatentDiffusionConfig config = TinyLatentConfig();
+  config.autoencoder_steps = 10;
+  config.diffusion_train_steps = 10;
+  LatentDiffSynthesizer model(config);
+  Rng rng(11);
+  ASSERT_TRUE(model.Fit(SmallData(), &rng).ok());
+  for (Parameter* p : model.diffusion()->Parameters()) {
+    EXPECT_EQ(p->grad.size(), 0u) << p->name;
+  }
+}
+
 TEST(SynthesizerSmokeTest, SiloFuse) {
   SiloFuseOptions options;
   options.base = TinyLatentConfig();

@@ -2,14 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 #include <utility>
+
+#include "core/reference_stats.h"
 
 namespace silofuse {
 namespace obs {
@@ -101,6 +103,12 @@ void AppendHotspotsMarkdown(std::ostringstream& out,
 
 // ---- Training health (health.* / quality.* gauges) ------------------------
 
+double GaugeOr(const MetricsSnapshot& metrics, const std::string& key,
+               double fallback) {
+  auto it = metrics.gauges.find(key);
+  return it == metrics.gauges.end() ? fallback : it->second;
+}
+
 struct HealthLayerRow {
   std::string trainer;  // "<prefix>[.silo<k>]"
   std::string layer;    // fully-qualified parameter name
@@ -115,16 +123,41 @@ struct HealthWatchdogRow {
   int64_t abort_step = 0;
 };
 
+/// The shared scorer's four scores, read back from `<base>.<score>` gauges.
+QualityScores ScoresFromGauges(const MetricsSnapshot& metrics,
+                               const std::string& base) {
+  QualityScores scores;
+  scores.marginal_distance = GaugeOr(metrics, base + ".marginal_distance", 0.0);
+  scores.correlation_drift = GaugeOr(metrics, base + ".correlation_drift", 0.0);
+  scores.utility_proxy = GaugeOr(metrics, base + ".utility_proxy", 0.0);
+  scores.dcr_p5 = GaugeOr(metrics, base + ".dcr_p5", 0.0);
+  return scores;
+}
+
+/// Markdown cells "marginal | drift | utility | DCR p5", formatted alike in
+/// the training trajectory and the serving "Synthesis quality" table.
+void AppendScoreCells(std::ostringstream& out, const QualityScores& scores) {
+  out << std::fixed << std::setprecision(3) << scores.marginal_distance
+      << " | " << scores.correlation_drift << " | " << std::setprecision(1)
+      << scores.utility_proxy << " | " << std::setprecision(4)
+      << scores.dcr_p5;
+}
+
+void AppendScoresJson(std::ostringstream& out, const QualityScores& scores) {
+  out << "\"marginal_distance\": " << scores.marginal_distance
+      << ", \"correlation_drift\": " << scores.correlation_drift
+      << ", \"utility_proxy\": " << scores.utility_proxy
+      << ", \"dcr_p5\": " << scores.dcr_p5;
+}
+
 struct QualityPoint {
-  int index = 0;
   int64_t step = 0;
-  double overall = 0.0;
+  QualityScores scores;
 };
 
 struct QualitySeriesRow {
   std::string scope;  // e.g. "coordinator", "latentdiff"
   std::vector<QualityPoint> points;
-  double latest_overall = 0.0;
 };
 
 struct TrainingHealthSummary {
@@ -136,12 +169,6 @@ struct TrainingHealthSummary {
   }
 };
 
-double GaugeOr(const MetricsSnapshot& metrics, const std::string& key,
-               double fallback) {
-  auto it = metrics.gauges.find(key);
-  return it == metrics.gauges.end() ? fallback : it->second;
-}
-
 TrainingHealthSummary SummarizeTrainingHealth(const MetricsSnapshot& metrics) {
   TrainingHealthSummary summary;
   std::map<std::string, QualitySeriesRow> quality;
@@ -152,18 +179,14 @@ TrainingHealthSummary SummarizeTrainingHealth(const MetricsSnapshot& metrics) {
   for (const auto& [key, value] : metrics.gauges) {
     // health.<trainer>.layer.<param>.grad_norm anchors one layer row; its
     // sibling gauges are looked up by suffix swap.
-    constexpr const char* kHealth = "health.";
-    constexpr const char* kGradNorm = ".grad_norm";
-    if (key.rfind(kHealth, 0) == 0 && key.size() > std::strlen(kGradNorm) &&
-        key.compare(key.size() - std::strlen(kGradNorm),
-                    std::strlen(kGradNorm), kGradNorm) == 0) {
+    constexpr std::string_view kHealth = "health.";
+    constexpr std::string_view kGradNorm = ".grad_norm";
+    if (key.starts_with(kHealth) && key.ends_with(kGradNorm)) {
       const size_t layer_pos = key.find(".layer.");
       if (layer_pos == std::string::npos) continue;
-      const std::string base =
-          key.substr(0, key.size() - std::strlen(kGradNorm));
+      const std::string base = key.substr(0, key.size() - kGradNorm.size());
       HealthLayerRow row;
-      row.trainer = key.substr(std::strlen(kHealth),
-                               layer_pos - std::strlen(kHealth));
+      row.trainer = key.substr(kHealth.size(), layer_pos - kHealth.size());
       row.layer = base.substr(layer_pos + std::strlen(".layer."));
       row.grad_norm = value;
       row.value_norm = GaugeOr(metrics, base + ".value_norm", 0.0);
@@ -172,52 +195,41 @@ TrainingHealthSummary SummarizeTrainingHealth(const MetricsSnapshot& metrics) {
       summary.worst_layers.push_back(std::move(row));
       continue;
     }
-    constexpr const char* kAborted = ".watchdog.aborted";
-    if (key.rfind(kHealth, 0) == 0 && key.size() > std::strlen(kAborted) &&
-        key.compare(key.size() - std::strlen(kAborted), std::strlen(kAborted),
-                    kAborted) == 0) {
+    constexpr std::string_view kAborted = ".watchdog.aborted";
+    if (key.starts_with(kHealth) && key.ends_with(kAborted)) {
       HealthWatchdogRow row;
       row.trainer = key.substr(
-          std::strlen(kHealth),
-          key.size() - std::strlen(kHealth) - std::strlen(kAborted));
+          kHealth.size(), key.size() - kHealth.size() - kAborted.size());
       row.aborted = value != 0.0;
       row.abort_step = static_cast<int64_t>(GaugeOr(
-          metrics,
-          std::string(kHealth) + row.trainer + ".watchdog.abort_step", 0.0));
+          metrics, "health." + row.trainer + ".watchdog.abort_step", 0.0));
       summary.watchdogs.push_back(std::move(row));
       continue;
     }
-    constexpr const char* kLastStats = ".last_stats_step";
-    if (key.rfind(kHealth, 0) == 0 && key.size() > std::strlen(kLastStats) &&
-        key.compare(key.size() - std::strlen(kLastStats),
-                    std::strlen(kLastStats), kLastStats) == 0) {
+    constexpr std::string_view kLastStats = ".last_stats_step";
+    if (key.starts_with(kHealth) && key.ends_with(kLastStats)) {
       monitored.insert(key.substr(
-          std::strlen(kHealth),
-          key.size() - std::strlen(kHealth) - std::strlen(kLastStats)));
+          kHealth.size(), key.size() - kHealth.size() - kLastStats.size()));
       continue;
     }
-    constexpr const char* kEma = ".watchdog.ema.";
-    if (const size_t ema_pos = key.find(kEma);
-        key.rfind(kHealth, 0) == 0 && ema_pos != std::string::npos) {
-      monitored.insert(
-          key.substr(std::strlen(kHealth), ema_pos - std::strlen(kHealth)));
+    if (const size_t ema_pos = key.find(".watchdog.ema.");
+        key.starts_with(kHealth) && ema_pos != std::string::npos) {
+      monitored.insert(key.substr(kHealth.size(), ema_pos - kHealth.size()));
       continue;
     }
-    // quality.<scope>.series.<k>.overall (+ .step) is the probe trajectory.
-    constexpr const char* kQuality = "quality.";
-    constexpr const char* kOverall = ".overall";
+    // quality.<scope>.series.<k>.step (+ the scores beside it) is one
+    // scored probe of the trajectory.
+    constexpr std::string_view kQuality = "quality.";
+    constexpr std::string_view kStep = ".step";
     const size_t series_pos = key.find(".series.");
-    if (key.rfind(kQuality, 0) == 0 && series_pos != std::string::npos &&
-        key.size() > std::strlen(kOverall) &&
-        key.compare(key.size() - std::strlen(kOverall), std::strlen(kOverall),
-                    kOverall) == 0) {
+    if (key.starts_with(kQuality) && series_pos != std::string::npos &&
+        key.ends_with(kStep)) {
       const std::string scope =
-          key.substr(std::strlen(kQuality), series_pos - std::strlen(kQuality));
-      const std::string base = key.substr(0, key.size() - std::strlen(kOverall));
+          key.substr(kQuality.size(), series_pos - kQuality.size());
+      const std::string base = key.substr(0, key.size() - kStep.size());
       QualityPoint point;
-      point.index = std::atoi(base.c_str() + series_pos + std::strlen(".series."));
-      point.step = static_cast<int64_t>(GaugeOr(metrics, base + ".step", 0.0));
-      point.overall = value;
+      point.step = static_cast<int64_t>(value);
+      point.scores = ScoresFromGauges(metrics, base);
       quality[scope].points.push_back(point);
     }
   }
@@ -242,10 +254,8 @@ TrainingHealthSummary SummarizeTrainingHealth(const MetricsSnapshot& metrics) {
     row.scope = scope;
     std::sort(row.points.begin(), row.points.end(),
               [](const QualityPoint& a, const QualityPoint& b) {
-                return a.index < b.index;
+                return a.step < b.step;
               });
-    row.latest_overall =
-        GaugeOr(metrics, std::string("quality.") + scope + ".overall", 0.0);
     summary.quality.push_back(std::move(row));
   }
   return summary;
@@ -292,12 +302,15 @@ void AppendTrainingHealthMarkdown(std::ostringstream& out,
   }
   if (!health.quality.empty()) {
     out << "### Mid-training quality trajectory\n\n"
-        << "| probe scope | step | overall resemblance |\n"
-        << "|-------------|-----:|--------------------:|\n";
+        << "| probe scope | step | marginal dist | corr drift | utility | "
+           "DCR p5 |\n"
+        << "|-------------|-----:|--------------:|-----------:|--------:|"
+           "-------:|\n";
     for (const QualitySeriesRow& q : health.quality) {
       for (const QualityPoint& p : q.points) {
-        out << "| " << q.scope << " | " << p.step << " | " << std::fixed
-            << std::setprecision(2) << p.overall << " |\n";
+        out << "| " << q.scope << " | " << p.step << " | ";
+        AppendScoreCells(out, p.scores);
+        out << " |\n";
       }
     }
     out << "\n";
@@ -343,10 +356,7 @@ struct ServingSummary {
     int64_t audits = 0;
     int64_t bad_audits = 0;
     int64_t degenerate = 0;
-    double marginal_distance = 0.0;
-    double correlation_drift = 0.0;
-    double utility_proxy = 0.0;
-    double dcr_p5 = 0.0;
+    QualityScores scores;  // of the last scored audit
     bool breached = false;
     int64_t breaches = 0;
     double burn_short = 0.0;
@@ -394,7 +404,7 @@ ServingSummary SummarizeServing(const MetricsSnapshot& metrics) {
   serving.batch_requests = HistogramOrNull(metrics, "serve.batch.requests");
   serving.batch_rows = HistogramOrNull(metrics, "serve.batch.rows");
   for (const auto& [name, histogram] : metrics.histograms) {
-    if (name.rfind("serve.", 0) != 0 || histogram.count == 0) continue;
+    if (!name.starts_with("serve.") || histogram.count == 0) continue;
     serving.histograms.emplace_back(name, &histogram);
   }
   serving.slo_present =
@@ -413,10 +423,8 @@ ServingSummary SummarizeServing(const MetricsSnapshot& metrics) {
   const std::string audit_prefix = "audit.";
   const std::string reference_suffix = ".has_reference";
   for (const auto& [name, value] : metrics.gauges) {
-    if (name.rfind(audit_prefix, 0) != 0) continue;
-    if (name.size() <= audit_prefix.size() + reference_suffix.size()) continue;
-    if (name.compare(name.size() - reference_suffix.size(),
-                     reference_suffix.size(), reference_suffix) != 0) {
+    if (name.size() <= audit_prefix.size() + reference_suffix.size() ||
+        !name.starts_with(audit_prefix) || !name.ends_with(reference_suffix)) {
       continue;
     }
     ServingSummary::AuditRow row;
@@ -428,10 +436,7 @@ ServingSummary SummarizeServing(const MetricsSnapshot& metrics) {
     row.audits = CounterOr(metrics, base + ".audits", 0);
     row.bad_audits = CounterOr(metrics, base + ".bad_audits", 0);
     row.degenerate = CounterOr(metrics, base + ".degenerate", 0);
-    row.marginal_distance = GaugeOr(metrics, base + ".marginal_distance", 0.0);
-    row.correlation_drift = GaugeOr(metrics, base + ".correlation_drift", 0.0);
-    row.utility_proxy = GaugeOr(metrics, base + ".utility_proxy", 0.0);
-    row.dcr_p5 = GaugeOr(metrics, base + ".dcr_p5", 0.0);
+    row.scores = ScoresFromGauges(metrics, base);
     row.breached = GaugeOr(metrics, base + ".breached", 0.0) != 0.0;
     row.breaches = CounterOr(metrics, base + ".breaches", 0);
     row.burn_short = GaugeOr(metrics, base + ".burn_short", 0.0);
@@ -477,12 +482,10 @@ void AppendServingMarkdown(std::ostringstream& out,
       out << "| " << row.deployment << " | "
           << (row.breached ? "**BREACHED**" : row.verdict()) << " | "
           << row.audits << " | " << row.bad_audits << " | " << row.degenerate
-          << " | " << std::fixed << std::setprecision(3)
-          << row.marginal_distance << " | " << row.correlation_drift << " | "
-          << std::setprecision(1) << row.utility_proxy << " | "
-          << std::setprecision(4) << row.dcr_p5 << " | "
-          << std::setprecision(2) << row.burn_short << "/" << row.burn_long
-          << " |\n";
+          << " | ";
+      AppendScoreCells(out, row.scores);
+      out << " | " << std::setprecision(2) << row.burn_short << "/"
+          << row.burn_long << " |\n";
     }
     out << "\n";
   }
@@ -639,11 +642,11 @@ std::string RenderRunReportJson(const std::string& title,
   for (size_t i = 0; i < health.quality.size(); ++i) {
     const QualitySeriesRow& q = health.quality[i];
     out << (i ? "," : "") << "\n      {\"scope\": \"" << Escape(q.scope)
-        << "\", \"latest_overall\": " << q.latest_overall
-        << ", \"series\": [";
+        << "\", \"series\": [";
     for (size_t j = 0; j < q.points.size(); ++j) {
-      out << (j ? ", " : "") << "{\"step\": " << q.points[j].step
-          << ", \"overall\": " << q.points[j].overall << "}";
+      out << (j ? ", " : "") << "{\"step\": " << q.points[j].step << ", ";
+      AppendScoresJson(out, q.points[j].scores);
+      out << "}";
     }
     out << "]}";
   }
@@ -698,12 +701,9 @@ std::string RenderRunReportJson(const std::string& title,
         << "\", \"has_reference\": " << (row.has_reference ? "true" : "false")
         << ", \"audits\": " << row.audits
         << ", \"bad_audits\": " << row.bad_audits
-        << ", \"degenerate\": " << row.degenerate
-        << ", \"marginal_distance\": " << row.marginal_distance
-        << ", \"correlation_drift\": " << row.correlation_drift
-        << ", \"utility_proxy\": " << row.utility_proxy
-        << ", \"dcr_p5\": " << row.dcr_p5
-        << ", \"breached\": " << (row.breached ? "true" : "false")
+        << ", \"degenerate\": " << row.degenerate << ", ";
+    AppendScoresJson(out, row.scores);
+    out << ", \"breached\": " << (row.breached ? "true" : "false")
         << ", \"breaches\": " << row.breaches
         << ", \"burn_short\": " << row.burn_short
         << ", \"burn_long\": " << row.burn_long << "}";

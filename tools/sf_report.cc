@@ -177,9 +177,8 @@ int RunAndReport(const Args& args, obs::ProfileReport* profile,
   options.base.diffusion_train_steps = 300;
   options.base.batch_size = 128;
   // Mid-training quality probes feed the report's "Training health" section
-  // (~4 probes across the diffusion budget).
+  // (4 probes across the diffusion budget).
   options.base.quality_probe_every = 75;
-  options.base.quality_probe_rows = 96;
   options.partition.num_clients = args.clients;
 
   FaultPlan plan(0x5f07);
