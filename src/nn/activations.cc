@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/check.h"
 #include "common/fast_math.h"
 #include "runtime/parallel_for.h"
 
@@ -16,8 +17,8 @@ constexpr float kGeluCubic = 0.044715f;
 // pricier than the polynomial FastTanh or a compare, so they fan out on
 // much smaller matrices — while cheap ones stay off the pool entirely
 // until they are big enough to amortize task overhead.
-constexpr double kNsPerElemCheap = 0.5;   // relu/leaky-relu compares
-constexpr double kNsPerElemFast = 2.0;    // FastTanh gelu, grad products
+constexpr double kNsPerElemCheap = 0.5;   // compares, one-multiply grads
+constexpr double kNsPerElemFast = 2.0;    // FastTanh gelu
 constexpr double kNsPerElemLibm = 15.0;   // std::tanh / std::exp per element
 
 // Runs fn(lo, hi) over [0, n); the runtime decides serial vs pool from the
@@ -36,19 +37,37 @@ void ForActivation(size_t n, double ns_per_elem, Fn&& fn) {
 // training stays on libm tanh — is documented there.
 float GeluScalar(float x) { return fastmath::GeluFast(x); }
 
-float GeluTrainScalar(float x) {
-  const float inner = kGeluCoef * (x + kGeluCubic * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
-float GeluGradScalar(float x) {
-  const float u = kGeluCoef * (x + kGeluCubic * x * x * x);
-  const float t = std::tanh(u);  // exact gradient of the TRAINING forward
-  const float du = kGeluCoef * (1.0f + 3.0f * kGeluCubic * x * x);
-  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-}
-
 namespace {
+
+// The training GELU's value and its exact derivative, from one libm tanh.
+// GeluTrainScalar, GeluGradScalar and the training Forward all read this
+// one body, so the forward, the cached derivative and the scalar
+// definitions the tests compare against cannot drift apart.
+struct GeluTrainPoint {
+  float value;
+  float grad;
+};
+
+inline GeluTrainPoint GeluTrain(float x) {
+  const float u = kGeluCoef * (x + kGeluCubic * x * x * x);
+  const float t = std::tanh(u);
+  const float du = kGeluCoef * (1.0f + 3.0f * kGeluCubic * x * x);
+  return {0.5f * x * (1.0f + t),
+          0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du};
+}
+
+// Backward reads a cache the training Forward filled; a gradient of any
+// other shape (a different batch, or no training Forward at all) would
+// index past it.
+void CheckCacheShape(const Matrix& grad_output, const Matrix& cache,
+                     const char* layer) {
+  SF_CHECK(grad_output.rows() == cache.rows() &&
+           grad_output.cols() == cache.cols())
+      << layer << " Backward: grad " << grad_output.rows() << "x"
+      << grad_output.cols() << " vs cache " << cache.rows() << "x"
+      << cache.cols() << " (no matching training Forward)";
+}
+
 // Applies fn elementwise without std::function dispatch (hot path).
 template <typename Fn>
 Matrix ApplyFast(const Matrix& input, double ns_per_elem, Fn fn) {
@@ -59,29 +78,51 @@ Matrix ApplyFast(const Matrix& input, double ns_per_elem, Fn fn) {
   });
   return out;
 }
+
 }  // namespace
 
+float GeluTrainScalar(float x) { return GeluTrain(x).value; }
+
+float GeluGradScalar(float x) { return GeluTrain(x).grad; }
+
 Matrix Gelu::Forward(const Matrix& input, bool training) {
-  if (training) {
-    // Training keeps the input cache (it feeds Backward) and the libm
-    // forward that GeluGradScalar differentiates exactly.
-    cached_input_ = input;
-    return ApplyFast(input, kNsPerElemLibm,
-                     [](float v) { return GeluTrainScalar(v); });
+  if (!training) {
+    // Inference (sampling, serving): no cache, and the lambda (not a raw
+    // function pointer) lets the compiler inline GeluScalar into the
+    // elementwise loop and vectorize FastTanh.
+    return ApplyFast(input, kNsPerElemFast,
+                     [](float v) { return GeluScalar(v); });
   }
-  // Inference (sampling, serving): no cache copy, and the lambda (not a
-  // raw function pointer) lets the compiler inline GeluScalar into the
-  // elementwise loop and vectorize FastTanh.
-  return ApplyFast(input, kNsPerElemFast,
-                   [](float v) { return GeluScalar(v); });
+  // Training: one libm tanh per element yields both the output and the
+  // derivative Backward needs, so the cache holds dy/dx, not the input.
+  // The long-lived cache is allocated before the short-lived output: the
+  // other order leaves the output's freed block under the cache, which
+  // raised the pipeline's peak RSS by ~0.4 MB.
+  if (cached_grad_.rows() != input.rows() ||
+      cached_grad_.cols() != input.cols()) {
+    cached_grad_ = Matrix(input.rows(), input.cols());
+  }
+  Matrix out(input.rows(), input.cols());
+  const float* x = input.data();
+  float* y = out.data();
+  float* d = cached_grad_.data();
+  ForActivation(out.size(), kNsPerElemLibm, [x, y, d](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const GeluTrainPoint p = GeluTrain(x[i]);
+      y[i] = p.value;
+      d[i] = p.grad;
+    }
+  });
+  return out;
 }
 
 Matrix Gelu::Backward(const Matrix& grad_output) {
+  CheckCacheShape(grad_output, cached_grad_, "Gelu");
   Matrix grad = grad_output;
   float* g = grad.data();
-  const float* x = cached_input_.data();
-  ForActivation(grad.size(), kNsPerElemLibm, [g, x](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) g[i] *= GeluGradScalar(x[i]);
+  const float* d = cached_grad_.data();
+  ForActivation(grad.size(), kNsPerElemCheap, [g, d](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) g[i] *= d[i];
   });
   return grad;
 }
@@ -93,6 +134,7 @@ Matrix Relu::Forward(const Matrix& input, bool training) {
 }
 
 Matrix Relu::Backward(const Matrix& grad_output) {
+  CheckCacheShape(grad_output, cached_input_, "Relu");
   Matrix grad = grad_output;
   float* g = grad.data();
   const float* x = cached_input_.data();
@@ -110,6 +152,7 @@ Matrix LeakyRelu::Forward(const Matrix& input, bool training) {
 }
 
 Matrix LeakyRelu::Backward(const Matrix& grad_output) {
+  CheckCacheShape(grad_output, cached_input_, "LeakyRelu");
   Matrix grad = grad_output;
   float* g = grad.data();
   const float* x = cached_input_.data();
@@ -131,6 +174,7 @@ Matrix Tanh::Forward(const Matrix& input, bool training) {
 }
 
 Matrix Tanh::Backward(const Matrix& grad_output) {
+  CheckCacheShape(grad_output, cached_output_, "Tanh");
   Matrix grad = grad_output;
   float* g = grad.data();
   const float* y = cached_output_.data();
@@ -149,6 +193,7 @@ Matrix Sigmoid::Forward(const Matrix& input, bool /*training*/) {
 }
 
 Matrix Sigmoid::Backward(const Matrix& grad_output) {
+  CheckCacheShape(grad_output, cached_output_, "Sigmoid");
   Matrix grad = grad_output;
   float* g = grad.data();
   const float* y = cached_output_.data();

@@ -6,7 +6,8 @@
 namespace silofuse {
 
 /// GELU with the tanh approximation (used by the paper's autoencoders and
-/// diffusion backbone).
+/// diffusion backbone). The training Forward caches dy/dx, computed from
+/// the same tanh as y, so Backward is one multiply per element.
 class Gelu : public Module {
  public:
   const char* TypeName() const override { return "gelu"; }
@@ -14,7 +15,7 @@ class Gelu : public Module {
   Matrix Backward(const Matrix& grad_output) override;
 
  private:
-  Matrix cached_input_;
+  Matrix cached_grad_;  // GeluGradScalar(x) of the last training input
 };
 
 class Relu : public Module {
@@ -66,7 +67,9 @@ class Sigmoid : public Module {
 /// inference forward (deterministic FastTanh approximation, a few ulps
 /// from libm); GeluTrainScalar is the libm-tanh forward used under
 /// training=true, and GeluGradScalar is its exact derivative — training
-/// numerics are unchanged by the fast inference path.
+/// numerics are unchanged by the fast inference path. Both training
+/// scalars share one body with Gelu's training Forward, so its outputs and
+/// cached derivative equal them bit for bit.
 float GeluScalar(float x);
 float GeluTrainScalar(float x);
 float GeluGradScalar(float x);

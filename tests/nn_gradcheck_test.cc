@@ -5,11 +5,14 @@
 // differences of the scalar surrogate L(x) = sum(Forward(x) * g), both for
 // the input and for every parameter.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -254,6 +257,64 @@ class ThreadSettingGuard {
 bool BytesEqual(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+uint32_t Bits(float v) { return std::bit_cast<uint32_t>(v); }
+
+// Gelu's training Forward computes y and dy/dx from one tanh and caches
+// dy/dx; its outputs and its Backward must equal the scalar definitions
+// bit for bit: signed zeros, the saturated tails, tiny and huge magnitudes,
+// and random values, on matrices below (serial) and above (pool) the
+// activation's parallel threshold, at 1 and 4 threads.
+TEST(GeluNumericsTest, TrainingForwardAndBackwardEqualScalarsBitForBit) {
+  ThreadSettingGuard guard;
+  const std::vector<float> specials = {
+      0.0f,    -0.0f,    20.0f,    -20.0f,   1e-30f,   -1e-30f, 1e-40f,
+      -1e-40f, 1e12f,    -1e12f,   3.0f,     -3.0f,    0.5f,    -0.5f,
+      1e-4f,   -1e-4f,   9.0f,     -9.0f,    1e6f,     -1e6f};
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const auto& [rows, cols] : {std::pair{6, 3}, std::pair{128, 128}}) {
+      Rng rng(41);
+      Matrix input = Matrix::RandomNormal(rows, cols, &rng, 0.0f, 3.0f);
+      for (size_t i = 0; i < specials.size() && i < input.size(); ++i) {
+        input.data()[i] = specials[i];
+      }
+      const Matrix upstream = Matrix::RandomNormal(rows, cols, &rng);
+      Gelu layer;
+      const Matrix out = layer.Forward(input, /*training=*/true);
+      const Matrix grad = layer.Backward(upstream);
+      for (size_t i = 0; i < input.size(); ++i) {
+        const float x = input.data()[i];
+        ASSERT_EQ(Bits(out.data()[i]), Bits(GeluTrainScalar(x)))
+            << rows << "x" << cols << " threads=" << threads << " x=" << x;
+        ASSERT_EQ(Bits(grad.data()[i]),
+                  Bits(upstream.data()[i] * GeluGradScalar(x)))
+            << rows << "x" << cols << " threads=" << threads << " x=" << x;
+      }
+    }
+  }
+}
+
+// Backward indexes its cache by the gradient's size, so a gradient whose
+// shape does not match the last training Forward (or arrives with no
+// training Forward at all) must stop the process, not read past the cache.
+TEST(ActivationBackwardDeathTest, ShapeMismatchWithCacheAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Matrix input(4, 3, 0.5f);
+  const Matrix wrong_batch(8, 3, 1.0f);
+  std::vector<std::unique_ptr<Module>> layers;
+  layers.push_back(std::make_unique<Gelu>());
+  layers.push_back(std::make_unique<Relu>());
+  layers.push_back(std::make_unique<LeakyRelu>());
+  layers.push_back(std::make_unique<Tanh>());
+  layers.push_back(std::make_unique<Sigmoid>());
+  for (auto& layer : layers) {
+    EXPECT_DEATH(layer->Backward(wrong_batch), "Backward") << layer->TypeName();
+    layer->Forward(input, /*training=*/true);
+    EXPECT_DEATH(layer->Backward(wrong_batch), "Backward") << layer->TypeName();
+    EXPECT_EQ(layer->Backward(Matrix(4, 3, 1.0f)).rows(), 4);
+  }
 }
 
 // Gradcheck through the exact module stack the fused inference peephole
