@@ -17,7 +17,7 @@ namespace fastmath {
 //
 // INFERENCE ONLY. The approximation differs from libm by a few ulps (and
 // its clamped tail never reaches exactly +/-1), so the training path —
-// forward under training=true and the gradient — stays on std::tanh to
+// training forward and the gradient — stays on std::tanh to
 // keep training trajectories, recorded baselines, and checkpoints
 // bit-identical to the pre-approximation numerics. Shared between
 // nn/activations.cc and the tensor GEMM gelu epilogue, which must agree

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -191,25 +192,22 @@ Status SiloFuse::FitPartitioned(std::vector<Table> parts,
   // each surviving silo, reassemble) and score the result against the
   // reference statistics.
   obs::health::QualityProbe probe;
-  if (options_.base.quality_probe_every > 0) {
-    probe.every_steps = options_.base.quality_probe_every;
-    probe.reference = &reference_stats_;
-    probe.prefix = "quality.coordinator";
-    probe.synthesize = [this](int rows, Rng* probe_rng) -> Result<Table> {
-      SF_ASSIGN_OR_RETURN(
-          const Matrix z,
-          coordinator_->SampleLatents(rows, options_.base.inference_steps,
-                                      options_.base.sampling_eta, probe_rng));
-      return DecodeAndReassemble(z, probe_rng);
-    };
-  }
+  probe.every_steps = options_.base.quality_probe_every;
+  probe.reference = &reference_stats_;
+  probe.synthesize = [this](int rows, Rng* probe_rng) -> Result<Table> {
+    SF_ASSIGN_OR_RETURN(
+        const Matrix z,
+        coordinator_->SampleLatents(rows, options_.base.inference_steps,
+                                    options_.base.sampling_eta, probe_rng));
+    return DecodeAndReassemble(z, probe_rng);
+  };
   {
     obs::ContextSpan coord_span(
         "coordinator.train_ddpm",
         tracing ? obs::InternTraceString("coordinator") : nullptr, run_ctx);
     SF_RETURN_NOT_OK(coordinator_->TrainOnLatents(
         z, options_.base.diffusion_train_steps, options_.base.batch_size,
-        &coord_rng, probe.every_steps > 0 ? &probe : nullptr));
+        &coord_rng, std::move(probe)));
   }
   fitted_ = true;
   return Status::OK();
@@ -221,19 +219,16 @@ int SiloFuse::total_latent_dim() const {
   return total;
 }
 
-Result<std::vector<Table>> SiloFuse::SynthesizePartitioned(int num_rows,
-                                                           Rng* rng) {
-  return SynthesizePartitioned(num_rows, rng, SamplingParams{});
+SamplingParams SiloFuse::Resolve(const SamplingParams& params) const {
+  return {params.steps > 0 ? params.steps : options_.base.inference_steps,
+          params.eta >= 0.0 ? params.eta : options_.base.sampling_eta};
 }
 
 Result<std::vector<Table>> SiloFuse::SynthesizePartitioned(
     int num_rows, Rng* rng, const SamplingParams& params) {
   if (!fitted_) return Status::FailedPrecondition("Fit SiloFuse first");
   if (num_rows <= 0) return Status::InvalidArgument("num_rows must be > 0");
-  const int steps =
-      params.steps > 0 ? params.steps : options_.base.inference_steps;
-  const double eta =
-      params.eta >= 0.0 ? params.eta : options_.base.sampling_eta;
+  const SamplingParams sampling = Resolve(params);
   // Checkpoint-restored models never ran Fit in this process; give them a
   // fresh run id so their synthesis trace is still attributable.
   if (trace_run_id_ == 0) trace_run_id_ = obs::NextTraceRunId();
@@ -249,8 +244,8 @@ Result<std::vector<Table>> SiloFuse::SynthesizePartitioned(
     obs::ContextSpan sample_span(
         "coordinator.sample_latents",
         tracing ? obs::InternTraceString("coordinator") : nullptr, run_ctx);
-    SF_ASSIGN_OR_RETURN(z,
-                        coordinator_->SampleLatents(num_rows, steps, eta, rng));
+    SF_ASSIGN_OR_RETURN(z, coordinator_->SampleLatents(num_rows, sampling.steps,
+                                                       sampling.eta, rng));
   }
   // ... partitions Z~ = Z~_1 || ... || Z~_M and ships each client its slice.
   FaultyChannel wire(&channel_, options_.fault.plan);
@@ -288,8 +283,7 @@ Result<std::vector<Table>> SiloFuse::SynthesizePartitioned(
 }
 
 Result<Table> SiloFuse::Synthesize(int num_rows, Rng* rng) {
-  SF_ASSIGN_OR_RETURN(auto parts, SynthesizePartitioned(num_rows, rng));
-  return ReassembleColumns(parts, partition_);
+  return Synthesize(num_rows, rng, SamplingParams{});
 }
 
 Result<Table> SiloFuse::Synthesize(int num_rows, Rng* rng,
@@ -320,10 +314,7 @@ Result<std::vector<Table>> SiloFuse::SynthesizeCoalesced(
     block_rows.push_back(request.rows);
     rngs.push_back(request.rng);
   }
-  const int steps =
-      params.steps > 0 ? params.steps : options_.base.inference_steps;
-  const double eta =
-      params.eta >= 0.0 ? params.eta : options_.base.sampling_eta;
+  const SamplingParams sampling = Resolve(params);
   // Serving installs a batch-scoped ambient context (request/batch ids)
   // before calling in; only fall back to the model's own run id when no
   // caller context is present, so serve spans keep their request identity.
@@ -336,8 +327,9 @@ Result<std::vector<Table>> SiloFuse::SynthesizeCoalesced(
   obs::ContextSpan synth_span("silofuse.synthesize_coalesced");
   if (timing != nullptr) timing->sample_start_ns = obs::TraceNowNs();
   // One shared denoising pass over every request's rows...
-  SF_ASSIGN_OR_RETURN(Matrix z, coordinator_->SampleLatentsCoalesced(
-                                    block_rows, rngs, steps, eta));
+  SF_ASSIGN_OR_RETURN(Matrix z,
+                      coordinator_->SampleLatentsCoalesced(
+                          block_rows, rngs, sampling.steps, sampling.eta));
   if (timing != nullptr) timing->sample_end_ns = obs::TraceNowNs();
   // ... then per-request decoding: each request's slice goes through the
   // clients in the same order (and with the same rng) as its solo
@@ -446,6 +438,10 @@ Result<std::unique_ptr<SiloFuse>> SiloFuse::LoadCheckpoint(
   auto model = std::make_unique<SiloFuse>();
   SF_ASSIGN_OR_RETURN(model->options_.base.inference_steps, reader.ReadI32());
   SF_ASSIGN_OR_RETURN(model->options_.base.sampling_eta, reader.ReadF64());
+  if (model->options_.base.inference_steps <= 0 ||
+      !std::isfinite(model->options_.base.sampling_eta)) {
+    return Status::IOError("corrupt sampling settings in checkpoint");
+  }
   SF_ASSIGN_OR_RETURN(uint64_t num_clients, reader.ReadU64());
   if (num_clients == 0 || num_clients > 4096) {
     return Status::IOError("corrupt client count in checkpoint");

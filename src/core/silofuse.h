@@ -114,12 +114,10 @@ class SiloFuse : public Synthesizer {
                            const SamplingParams& params);
 
   /// Algorithm 2 keeping the synthetic data vertically partitioned — the
-  /// stronger-privacy mode backed by Theorem 1.
-  Result<std::vector<Table>> SynthesizePartitioned(int num_rows, Rng* rng);
-
-  /// Same, with a per-call inference schedule (steps/eta).
+  /// stronger-privacy mode backed by Theorem 1 — with an optional per-call
+  /// inference schedule (steps/eta).
   Result<std::vector<Table>> SynthesizePartitioned(
-      int num_rows, Rng* rng, const SamplingParams& params);
+      int num_rows, Rng* rng, const SamplingParams& params = {});
 
   /// Coalesced Algorithm 2 for the serving layer: all requests share ONE
   /// batched denoising pass (request i's noise comes only from
@@ -177,6 +175,9 @@ class SiloFuse : public Synthesizer {
   /// Algorithm 2's client side: each client decodes its column slice of `z`
   /// with `rng`, in silo order, and the slices are reassembled.
   Result<Table> DecodeAndReassemble(const Matrix& z, Rng* rng);
+
+  /// `params` with its sentinels replaced by the configured steps and eta.
+  SamplingParams Resolve(const SamplingParams& params) const;
 
   SiloFuseOptions options_;
   std::vector<std::vector<int>> partition_;

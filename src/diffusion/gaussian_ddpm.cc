@@ -80,30 +80,25 @@ GaussianDdpm::GaussianDdpm(const GaussianDdpmConfig& config, Rng* rng)
   // hidden blocks are residual so the net trains at small step budgets; the
   // separate `skip_` path (z_t -> prediction) lets the model represent the
   // near-identity eps ~ x_t solution at high noise levels immediately.
-  const auto linear = [this, rng](int in, int out) {
-    auto layer = std::make_unique<Linear>(in, out, rng);
-    linears_.push_back(layer.get());
-    return layer;
-  };
-  backbone_.Add(linear(in_dim, config.hidden_dim));
+  backbone_.Emplace<Linear>(in_dim, config.hidden_dim, rng);
   backbone_.Emplace<Gelu>();
-  if (config.dropout > 0.0f) backbone_.Emplace<Dropout>(config.dropout, rng);
+  if (config.dropout > 0.0f) backbone_.Emplace<Dropout>(config.dropout);
   for (int l = 0; l < config.num_layers - 2; ++l) {
     auto block = std::make_unique<Sequential>();
-    block->Add(linear(config.hidden_dim, config.hidden_dim));
+    block->Emplace<Linear>(config.hidden_dim, config.hidden_dim, rng);
     block->Emplace<Gelu>();
-    if (config.dropout > 0.0f) block->Emplace<Dropout>(config.dropout, rng);
+    if (config.dropout > 0.0f) block->Emplace<Dropout>(config.dropout);
     backbone_.Emplace<Residual>(std::move(block));
   }
-  backbone_.Add(linear(config.hidden_dim, config.data_dim));
-  skip_ = linear(config.data_dim, config.data_dim);
+  backbone_.Emplace<Linear>(config.hidden_dim, config.data_dim, rng);
+  skip_ = std::make_unique<Linear>(config.data_dim, config.data_dim, rng);
   PrefixParameterNames(backbone_.Parameters(), "backbone.");
   PrefixParameterNames(skip_->Parameters(), "skip.");
 }
 
 void GaussianDdpm::PrepareForSampling() {
-  for (Linear* layer : linears_) layer->PackWeights();
-  for (Parameter* p : Parameters()) p->grad = Matrix();
+  backbone_.Seal();
+  skip_->Seal();
   optimizer_.reset();
 }
 
@@ -128,22 +123,14 @@ Matrix GaussianDdpm::ForwardProcess(const Matrix& z0, const std::vector<int>& t,
 }
 
 Matrix GaussianDdpm::ForwardBackbone(const Matrix& z_t,
-                                     const std::vector<int>& t, bool training) {
+                                     const std::vector<int>& t,
+                                     Rng* train_rng) {
   SF_CHECK_EQ(z_t.cols(), config_.data_dim);
   SF_CHECK_EQ(z_t.rows(), static_cast<int>(t.size()));
-  if (training) {
-    // Re-create the grads PrepareForSampling released; Backward
-    // accumulates into them.
-    for (Parameter* p : Parameters()) {
-      if (p->grad.size() != p->value.size()) {
-        p->grad = Matrix(p->value.rows(), p->value.cols());
-      }
-    }
-  }
   Matrix t_emb = SinusoidalTimeEmbedding(t, config_.time_embed_dim);
   Matrix input = Matrix::ConcatCols({z_t, t_emb});
-  Matrix out = backbone_.Forward(input, training);
-  out.AddInPlace(skip_->Forward(z_t, training));
+  Matrix out = backbone_.Forward(input, train_rng);
+  out.AddInPlace(skip_->Forward(z_t, train_rng));
   return out;
 }
 
@@ -205,17 +192,17 @@ Result<std::unique_ptr<GaussianDdpm>> GaussianDdpm::LoadFrom(
   SF_ASSIGN_OR_RETURN(config.dropout, reader->ReadF32());
   SF_ASSIGN_OR_RETURN(config.lr, reader->ReadF32());
   SF_ASSIGN_OR_RETURN(config.grad_clip, reader->ReadF32());
+  // Everything the constructor (and the first Sample) would SF_CHECK.
   if (config.data_dim <= 0 || config.num_timesteps <= 0 || schedule < 0 ||
-      schedule > 1 || predict < 0 || predict > 1) {
+      schedule > 1 || predict < 0 || predict > 1 ||
+      config.time_embed_dim <= 0 || config.time_embed_dim % 2 != 0 ||
+      config.hidden_dim <= 0 || config.num_layers < 2) {
     return Status::IOError("corrupt diffusion config in archive");
   }
   config.schedule = static_cast<ScheduleType>(schedule);
   config.predict = static_cast<DiffusionPrediction>(predict);
-  // Weights are overwritten below; the Rng stays with the model because
-  // its dropout layers draw from it if it is ever trained again.
-  auto init_rng = std::make_unique<Rng>(0);
-  auto ddpm = std::make_unique<GaussianDdpm>(config, init_rng.get());
-  ddpm->owned_rng_ = std::move(init_rng);
+  Rng init_rng(0);  // weights are overwritten below
+  auto ddpm = std::make_unique<GaussianDdpm>(config, &init_rng);
   std::vector<Parameter*> params = ddpm->Parameters();
   SF_ASSIGN_OR_RETURN(uint64_t count, reader->ReadU64());
   if (count != params.size()) {
@@ -242,7 +229,7 @@ double GaussianDdpm::TrainStep(const Matrix& z0, Rng* rng) {
   }
   Matrix eps = Matrix::RandomNormal(batch, z0.cols(), rng);
   Matrix z_t = ForwardProcess(z0, t, eps);
-  Matrix prediction = ForwardBackbone(z_t, t, /*training=*/true);
+  Matrix prediction = ForwardBackbone(z_t, t, rng);
   const Matrix& target =
       config_.predict == DiffusionPrediction::kEpsilon ? eps : z0;
   Matrix grad;
@@ -262,7 +249,6 @@ double GaussianDdpm::TrainStep(const Matrix& z0, Rng* rng) {
 }
 
 Matrix GaussianDdpm::Sample(int n, int steps, Rng* rng, double eta) {
-  SF_CHECK_GT(n, 0);
   return SampleCoalesced({n}, {rng}, steps, eta);
 }
 
@@ -305,7 +291,7 @@ Matrix GaussianDdpm::SampleCoalesced(const std::vector<int>& block_rows,
     const int t = taus[i];
     const int t_prev = (i + 1 < taus.size()) ? taus[i + 1] : 0;
     std::fill(t_batch.begin(), t_batch.end(), t);
-    Matrix prediction = ForwardBackbone(x, t_batch, /*training=*/false);
+    Matrix prediction = ForwardBackbone(x, t_batch, /*train_rng=*/nullptr);
     // One fused row-block region per step: x0 recovery, the ±kX0Clamp guard,
     // and the DDIM update run in a single pass over the batch instead of
     // three (PredictionToX0 + Apply clamp + update). The scalar chain per

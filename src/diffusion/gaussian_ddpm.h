@@ -68,10 +68,11 @@ class GaussianDdpm {
                         const Matrix& eps) const;
 
   /// Runs the backbone on noisy inputs at per-row timesteps; returns the
-  /// raw prediction (eps or x0 per config). Exposed for the end-to-end
-  /// baselines, which backprop through the backbone.
+  /// raw prediction (eps or x0 per config); `train_rng` as in
+  /// Module::Forward. Exposed for the end-to-end baselines, which backprop
+  /// through the backbone.
   Matrix ForwardBackbone(const Matrix& z_t, const std::vector<int>& t,
-                         bool training);
+                         Rng* train_rng);
 
   /// Backprop through the last ForwardBackbone; returns dLoss/dZ_t
   /// (timestep-embedding gradient is dropped).
@@ -92,30 +93,22 @@ class GaussianDdpm {
   static Result<std::unique_ptr<GaussianDdpm>> LoadFrom(BinaryReader* reader);
 
   /// Call when the weights become fixed (end of training, checkpoint
-  /// load). Packs every Linear's weight for the GEMM kernel, so sampling
-  /// skips the per-call repack with unchanged bytes, and releases the
-  /// training-only state: the parameter grads and the Adam moments. A
-  /// later TrainStep re-creates that state (the moments start from zero)
-  /// and its training forward drops the packs. Sampling only reads the
-  /// packs, so concurrent Sample calls stay race-free.
+  /// load): Module::Seal packs every Linear, so sampling skips the per-call
+  /// repack with unchanged bytes, and drops the grads; the Adam moments go
+  /// too. A later TrainStep re-creates that state (the moments from zero).
+  /// Sampling only reads the packs, so concurrent Sample calls stay
+  /// race-free.
   void PrepareForSampling();
 
   const GaussianDdpmConfig& config() const { return config_; }
   const VarianceSchedule& schedule() const { return schedule_; }
-  int64_t parameter_count() {
-    return backbone_.ParameterCount() + skip_->ParameterCount();
-  }
 
  private:
   GaussianDdpmConfig config_;
   VarianceSchedule schedule_;
   Sequential backbone_;
   std::unique_ptr<Linear> skip_;  // direct z_t -> prediction path
-  std::vector<Linear*> linears_;  // every Linear of backbone_ and skip_
   std::unique_ptr<Adam> optimizer_;  // created by the first TrainStep
-  // The dropout layers' Rng when the caller's could not outlive the model
-  // (LoadFrom's); empty otherwise.
-  std::unique_ptr<Rng> owned_rng_;
 };
 
 }  // namespace silofuse

@@ -15,7 +15,7 @@ Result<Matrix> Coordinator::ShipLatentSlice(ReliableTransfer* transfer,
 
 Status Coordinator::TrainOnLatents(const Matrix& latents, int steps,
                                    int batch_size, Rng* rng,
-                                   const obs::health::QualityProbe* probe) {
+                                   obs::health::QualityProbe probe) {
   SF_TRACE_SPAN("coordinator.train_on_latents");
   if (latents.rows() < 2) {
     return Status::InvalidArgument("coordinator needs at least 2 latent rows");
@@ -26,11 +26,11 @@ Status Coordinator::TrainOnLatents(const Matrix& latents, int steps,
   config.data_dim = z0.cols();
   ddpm_ = std::make_unique<GaussianDdpm>(config, rng);
   {
-    obs::TrainLoopTelemetry telemetry("coordinator.train",
+    obs::TrainLoopTelemetry telemetry(scope_ + ".train",
                                       std::min(batch_size, z0.rows()));
     telemetry.WatchHealth(ddpm_->Parameters());
-    obs::health::QualityProbeRunner probe_runner(
-        probe != nullptr ? *probe : obs::health::QualityProbe{});
+    probe.prefix = "quality." + scope_;
+    obs::health::QualityProbeRunner probe_runner(std::move(probe));
     for (int s = 0; s < steps; ++s) {
       const std::vector<int> idx =
           SampleBatchIndices(z0.rows(), std::min(batch_size, z0.rows()), rng);
@@ -51,12 +51,7 @@ Status Coordinator::TrainOnLatents(const Matrix& latents, int steps,
 
 Result<Matrix> Coordinator::SampleLatents(int num_rows, int inference_steps,
                                           double eta, Rng* rng) {
-  SF_TRACE_SPAN("coordinator.sample_latents");
-  if (!trained()) {
-    return Status::FailedPrecondition("coordinator has not been trained");
-  }
-  Matrix z = ddpm_->Sample(num_rows, inference_steps, rng, eta);
-  return standardizer_.Inverse(z);
+  return SampleLatentsCoalesced({num_rows}, {rng}, inference_steps, eta);
 }
 
 Result<Matrix> Coordinator::SampleLatentsCoalesced(
@@ -68,6 +63,12 @@ Result<Matrix> Coordinator::SampleLatentsCoalesced(
   }
   if (block_rows.empty() || block_rows.size() != rngs.size()) {
     return Status::InvalidArgument("block_rows/rngs size mismatch");
+  }
+  for (int rows : block_rows) {
+    if (rows <= 0) return Status::InvalidArgument("rows must be > 0");
+  }
+  if (inference_steps <= 0) {
+    return Status::InvalidArgument("inference_steps must be > 0");
   }
   Matrix z = ddpm_->SampleCoalesced(block_rows, rngs, inference_steps, eta);
   return standardizer_.Inverse(z);

@@ -19,7 +19,11 @@ class ReliableTransfer;
 /// client features from them without the (private) decoders.
 class Coordinator {
  public:
-  explicit Coordinator(const GaussianDdpmConfig& config) : config_(config) {}
+  /// `scope` names the loop's `<scope>.train.*`, `health.<scope>.train.*`
+  /// and `quality.<scope>.*` metrics (LatentDiff uses "latentdiff").
+  explicit Coordinator(const GaussianDdpmConfig& config,
+                       std::string scope = "coordinator")
+      : config_(config), scope_(std::move(scope)) {}
 
   std::string party_name() const { return "coordinator"; }
 
@@ -28,16 +32,18 @@ class Coordinator {
   /// Runs under the training-health watchdog: a diverging or NaN-poisoned
   /// backbone aborts with kFailedPrecondition naming the offending layer
   /// and step. An optional quality probe periodically samples a latent
-  /// batch from the partially trained backbone (probe->synthesize decodes
-  /// it back to a table) and scores it against probe->reference, emitting a
-  /// `quality.*` metric time-series; the probe draws from its own
-  /// fixed-seed Rng, so training is byte-identical with probes on.
+  /// batch from the partially trained backbone (probe.synthesize decodes
+  /// it back to a table) and scores it against probe.reference, emitting a
+  /// `quality.<scope>.*` metric time-series; the probe draws from its own
+  /// fixed-seed Rng, so training is byte-identical with probes on. Ends
+  /// with PrepareForSampling, the state LoadFrom gives.
   Status TrainOnLatents(const Matrix& latents, int steps, int batch_size,
                         Rng* rng,
-                        const obs::health::QualityProbe* probe = nullptr);
+                        obs::health::QualityProbe probe = {});
 
   /// Samples `num_rows` synthetic latents with `inference_steps` denoising
   /// steps (Algorithm 2, lines 3-4), de-standardized to the client scale.
+  /// Non-positive rows or steps are kInvalidArgument.
   Result<Matrix> SampleLatents(int num_rows, int inference_steps, double eta,
                                Rng* rng);
 
@@ -66,6 +72,7 @@ class Coordinator {
 
  private:
   GaussianDdpmConfig config_;
+  std::string scope_;
   std::unique_ptr<GaussianDdpm> ddpm_;
   LatentStandardizer standardizer_;
 };

@@ -131,7 +131,7 @@ Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
   z_parts.reserve(clients_.size());
   for (size_t i = 0; i < clients_.size(); ++i) {
     Matrix x_i = client_inputs_[i].GatherRows(batch_rows);
-    Matrix z_i = clients_[i]->autoencoder()->EncoderForward(x_i, true);
+    Matrix z_i = clients_[i]->autoencoder()->EncoderForward(x_i, rng);
     SF_ASSIGN_OR_RETURN(z_i, ship(clients_[i]->party_name(), "coordinator",
                                   z_i, "forward_activations"));
     z_parts.push_back(std::move(z_i));
@@ -146,7 +146,7 @@ Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
   }
   Matrix eps = Matrix::RandomNormal(batch, z.cols(), rng);
   Matrix z_t = backbone_->ForwardProcess(z, t, eps);
-  Matrix z0_hat = backbone_->ForwardBackbone(z_t, t, /*training=*/true);
+  Matrix z0_hat = backbone_->ForwardBackbone(z_t, t, rng);
 
   joint_optimizer_->ZeroGrad();
   double recon_loss = 0.0;
@@ -161,7 +161,7 @@ Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
     // Client-side decode + head loss + decoder backward.
     TabularAutoencoder* ae = clients_[i]->autoencoder();
     Matrix x_i = client_inputs_[i].GatherRows(batch_rows);
-    Matrix heads = ae->DecoderForward(z0_hat_i, true);
+    Matrix heads = ae->DecoderForward(z0_hat_i, rng);
     Matrix grad_heads;
     recon_loss += ae->HeadLoss(heads, x_i, &grad_heads);
     Matrix grad_z0_i = ae->DecoderBackward(grad_heads);

@@ -115,13 +115,12 @@ Result<double> VflClassifier::Train(const std::vector<Table>& parts,
     // Clients encode and ship embeddings.
     std::vector<Matrix> embeddings(encoders_.size());
     for (size_t i = 0; i < encoders_.size(); ++i) {
-      embeddings[i] =
-          encoders_[i]->Forward(encoded[i].GatherRows(idx), /*training=*/true);
+      embeddings[i] = encoders_[i]->Forward(encoded[i].GatherRows(idx), rng);
       channel_.SendMatrix("client_" + std::to_string(i), "server",
                           embeddings[i], "vfl_embeddings");
     }
     Matrix joint = Matrix::ConcatCols(embeddings);
-    Matrix logits = server_head_.Forward(joint, true);
+    Matrix logits = server_head_.Forward(joint, rng);
     Matrix grad;
     const double loss =
         SoftmaxCrossEntropyLoss(logits, one_hot.GatherRows(idx), &grad);
@@ -148,12 +147,11 @@ Result<Matrix> VflClassifier::PredictProba(const std::vector<Table>& parts) {
   channel_.BeginRound();
   std::vector<Matrix> embeddings(encoders_.size());
   for (size_t i = 0; i < encoders_.size(); ++i) {
-    embeddings[i] = encoders_[i]->Forward(encoded[i], /*training=*/false);
+    embeddings[i] = encoders_[i]->Forward(encoded[i], /*train_rng=*/nullptr);
     channel_.SendMatrix("client_" + std::to_string(i), "server",
                         embeddings[i], "vfl_embeddings");
   }
-  Matrix logits =
-      server_head_.Forward(Matrix::ConcatCols(embeddings), /*training=*/false);
+  Matrix logits = server_head_.Forward(Matrix::ConcatCols(embeddings), nullptr);
   return SoftmaxRows(logits);
 }
 

@@ -42,7 +42,7 @@ void TabularAutoencoder::BuildNetworks(Rng* rng) {
     for (int l = 0; l < config_.num_layers - 1; ++l) {
       net->Emplace<Linear>(cur, config_.hidden_dim, rng);
       net->Emplace<Gelu>();
-      if (config_.dropout > 0.0f) net->Emplace<Dropout>(config_.dropout, rng);
+      if (config_.dropout > 0.0f) net->Emplace<Dropout>(config_.dropout);
       cur = config_.hidden_dim;
     }
     net->Emplace<Linear>(cur, out, rng);
@@ -51,7 +51,12 @@ void TabularAutoencoder::BuildNetworks(Rng* rng) {
   build(&decoder_, latent_dim_, head_width_);
   PrefixParameterNames(encoder_.Parameters(), "encoder.");
   PrefixParameterNames(decoder_.Parameters(), "decoder.");
-  optimizer_ = std::make_unique<Adam>(Parameters(), config_.lr);
+}
+
+void TabularAutoencoder::PrepareForSampling() {
+  encoder_.Seal();
+  decoder_.Seal();
+  optimizer_.reset();
 }
 
 Result<std::unique_ptr<TabularAutoencoder>> TabularAutoencoder::Create(
@@ -98,7 +103,8 @@ Result<std::unique_ptr<TabularAutoencoder>> TabularAutoencoder::LoadFrom(
   SF_ASSIGN_OR_RETURN(ae->config_.grad_clip, reader->ReadF32());
   SF_ASSIGN_OR_RETURN(ae->config_.dropout, reader->ReadF32());
   SF_RETURN_NOT_OK(ae->mixed_encoder_.Load(reader));
-  if (ae->latent_dim_ <= 0 || ae->config_.num_layers < 2) {
+  if (ae->config_.hidden_dim <= 0 || ae->latent_dim_ <= 0 ||
+      ae->config_.num_layers < 2) {
     return Status::IOError("corrupt autoencoder config in archive");
   }
   ae->BuildHeadLayout();
@@ -116,6 +122,7 @@ Result<std::unique_ptr<TabularAutoencoder>> TabularAutoencoder::LoadFrom(
     }
     p->value = std::move(value);
   }
+  ae->PrepareForSampling();
   return ae;
 }
 
@@ -130,8 +137,8 @@ int64_t TabularAutoencoder::parameter_count() {
 }
 
 Matrix TabularAutoencoder::EncoderForward(const Matrix& x_encoded,
-                                          bool training) {
-  return encoder_.Forward(x_encoded, training);
+                                          Rng* train_rng) {
+  return encoder_.Forward(x_encoded, train_rng);
 }
 
 Matrix TabularAutoencoder::EncoderBackward(const Matrix& grad_latent) {
@@ -139,8 +146,8 @@ Matrix TabularAutoencoder::EncoderBackward(const Matrix& grad_latent) {
 }
 
 Matrix TabularAutoencoder::DecoderForward(const Matrix& latents,
-                                          bool training) {
-  return decoder_.Forward(latents, training);
+                                          Rng* train_rng) {
+  return decoder_.Forward(latents, train_rng);
 }
 
 Matrix TabularAutoencoder::DecoderBackward(const Matrix& grad_heads) {
@@ -191,12 +198,15 @@ double TabularAutoencoder::HeadLoss(const Matrix& head_outputs,
   return total_loss / terms;
 }
 
-double TabularAutoencoder::TrainStep(const Matrix& x_encoded) {
+double TabularAutoencoder::TrainStep(const Matrix& x_encoded, Rng* rng) {
   SF_TRACE_SPAN("ae.train_step");
-  Matrix latents = EncoderForward(x_encoded, /*training=*/true);
-  Matrix heads = DecoderForward(latents, /*training=*/true);
+  Matrix latents = EncoderForward(x_encoded, rng);
+  Matrix heads = DecoderForward(latents, rng);
   Matrix grad_heads;
   const double loss = HeadLoss(heads, x_encoded, &grad_heads);
+  if (optimizer_ == nullptr) {
+    optimizer_ = std::make_unique<Adam>(Parameters(), config_.lr);
+  }
   optimizer_->ZeroGrad();
   Matrix grad_latent = DecoderBackward(grad_heads);
   EncoderBackward(grad_latent);
@@ -223,13 +233,14 @@ Result<double> TabularAutoencoder::Train(const Table& data, int steps,
   double running = 0.0;
   for (int s = 0; s < steps; ++s) {
     const std::vector<int> idx = SampleBatchIndices(all.rows(), batch, rng);
-    const double loss = TrainStep(all.GatherRows(idx));
+    const double loss = TrainStep(all.GatherRows(idx), rng);
     // Seed the running EMA with the first loss: a 0-init EMA ramps up over
     // the first decades of steps, which the health watchdog would misread
     // as divergence.
     running = s == 0 ? loss : 0.95 * running + 0.05 * loss;
     SF_RETURN_NOT_OK(telemetry.Step({{"running_loss", running}}));
   }
+  PrepareForSampling();
   return running;
 }
 
@@ -238,7 +249,7 @@ Matrix TabularAutoencoder::EncodeTable(const Table& table) const {
   // Encoding is inference: const_cast is safe because Forward only mutates
   // layer caches, which the next Forward overwrites.
   auto* self = const_cast<TabularAutoencoder*>(this);
-  return self->encoder_.Forward(x, /*training=*/false);
+  return self->encoder_.Forward(x, /*train_rng=*/nullptr);
 }
 
 Matrix TabularAutoencoder::HeadsToEncodedLayout(const Matrix& head_outputs,
@@ -270,7 +281,7 @@ Matrix TabularAutoencoder::HeadsToEncodedLayout(const Matrix& head_outputs,
 Table TabularAutoencoder::DecodeToTable(const Matrix& latents, Rng* rng,
                                         bool sample) {
   SF_CHECK(rng != nullptr);
-  Matrix heads = DecoderForward(latents, /*training=*/false);
+  Matrix heads = DecoderForward(latents, /*train_rng=*/nullptr);
   Matrix encoded = HeadsToEncodedLayout(heads, rng, sample);
   return sample ? mixed_encoder_.DecodeSampled(encoded, rng)
                 : mixed_encoder_.Decode(encoded);

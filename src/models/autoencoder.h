@@ -40,14 +40,16 @@ class TabularAutoencoder {
   static Result<std::unique_ptr<TabularAutoencoder>> Create(
       const Table& data, const AutoencoderConfig& config, Rng* rng);
 
-  /// One minibatch NLL update on pre-encoded inputs; returns the loss.
-  double TrainStep(const Matrix& x_encoded);
+  /// One minibatch NLL update on pre-encoded inputs (dropout draws from
+  /// `rng`); returns the loss.
+  double TrainStep(const Matrix& x_encoded, Rng* rng);
 
   /// Convenience: trains for `steps` minibatches on `data` under the
   /// training-health watchdog; returns the final running loss, or
   /// kFailedPrecondition if the watchdog aborts (NaN loss/gradients or EMA
   /// divergence). `silo_id` >= 0 scopes health metrics and abort messages
-  /// to the owning silo.
+  /// to the owning silo. Success leaves the networks sealed, as LoadFrom
+  /// does.
   Result<double> Train(const Table& data, int steps, int batch_size, Rng* rng,
                        int silo_id = -1);
 
@@ -61,13 +63,13 @@ class TabularAutoencoder {
 
   /// --- Low-level interface used by the end-to-end baselines -------------
 
-  /// Encoder forward (training mode toggles dropout); input must be the
+  /// Encoder forward (Module::Forward's `train_rng`); input must be the
   /// MixedEncoder encoding of this client's features.
-  Matrix EncoderForward(const Matrix& x_encoded, bool training);
+  Matrix EncoderForward(const Matrix& x_encoded, Rng* train_rng);
   /// Backprop through the encoder; returns dLoss/dInput.
   Matrix EncoderBackward(const Matrix& grad_latent);
   /// Decoder forward up to the raw head outputs.
-  Matrix DecoderForward(const Matrix& latents, bool training);
+  Matrix DecoderForward(const Matrix& latents, Rng* train_rng);
   /// Backprop through the decoder; returns dLoss/dLatent.
   Matrix DecoderBackward(const Matrix& grad_heads);
   /// NLL of head outputs against encoded targets; fills dLoss/dHeads.
@@ -78,7 +80,6 @@ class TabularAutoencoder {
   const Schema& schema() const { return mixed_encoder_.schema(); }
   int latent_dim() const { return latent_dim_; }
   int head_width() const { return head_width_; }
-  Optimizer* optimizer() { return optimizer_.get(); }
   std::vector<Parameter*> Parameters();
   int64_t parameter_count();
 
@@ -100,8 +101,11 @@ class TabularAutoencoder {
 
   /// Builds head_spans_/head_width_ from the fitted schema.
   void BuildHeadLayout();
-  /// Builds encoder_/decoder_/optimizer_ (requires layout + latent_dim_).
+  /// Builds encoder_/decoder_ (requires layout + latent_dim_).
   void BuildNetworks(Rng* rng);
+  /// Seals both networks and drops the Adam moments, as
+  /// GaussianDdpm::PrepareForSampling does; a later TrainStep undoes it.
+  void PrepareForSampling();
 
   /// Assembles a MixedEncoder-layout feature matrix from raw head outputs
   /// (numeric mean [+ sampled noise], categorical logits).
@@ -122,7 +126,7 @@ class TabularAutoencoder {
   std::vector<HeadSpan> head_spans_;
   Sequential encoder_;
   Sequential decoder_;
-  std::unique_ptr<Adam> optimizer_;
+  std::unique_ptr<Adam> optimizer_;  // created by the first TrainStep
 };
 
 }  // namespace silofuse

@@ -52,7 +52,7 @@ Status E2ESynthesizer::Fit(const Table& data, Rng* rng) {
 std::pair<double, double> E2ESynthesizer::TrainStep(const Matrix& x_encoded,
                                                     Rng* rng) {
   const int batch = x_encoded.rows();
-  Matrix z = autoencoder_->EncoderForward(x_encoded, /*training=*/true);
+  Matrix z = autoencoder_->EncoderForward(x_encoded, rng);
   std::vector<int> t(batch);
   for (int r = 0; r < batch; ++r) {
     t[r] = static_cast<int>(
@@ -60,8 +60,8 @@ std::pair<double, double> E2ESynthesizer::TrainStep(const Matrix& x_encoded,
   }
   Matrix eps = Matrix::RandomNormal(batch, z.cols(), rng);
   Matrix z_t = diffusion_->ForwardProcess(z, t, eps);
-  Matrix z0_hat = diffusion_->ForwardBackbone(z_t, t, /*training=*/true);
-  Matrix heads = autoencoder_->DecoderForward(z0_hat, /*training=*/true);
+  Matrix z0_hat = diffusion_->ForwardBackbone(z_t, t, rng);
+  Matrix heads = autoencoder_->DecoderForward(z0_hat, rng);
 
   Matrix grad_heads;
   const double recon_loss = autoencoder_->HeadLoss(heads, x_encoded, &grad_heads);

@@ -14,7 +14,8 @@
 
 namespace silofuse {
 
-Matrix TabularActivation::Forward(const Matrix& input, bool /*training*/) {
+Matrix TabularActivation::Forward(const Matrix& input,
+                                  Rng* /*train_rng*/) {
   Matrix out = input;
   for (const FeatureSpan& span : spans_) {
     if (span.categorical) {
@@ -154,15 +155,15 @@ std::pair<double, double> GanSynthesizer::TrainStep(const Matrix& real_batch,
 
   // --- Discriminator step ------------------------------------------------
   Matrix noise = Matrix::RandomNormal(batch, config_.noise_dim, rng);
-  Matrix fake = generator_.Forward(noise, /*training=*/true);
+  Matrix fake = generator_.Forward(noise, rng);
   d_optimizer_->ZeroGrad();
   Matrix ones(batch, 1, 1.0f);
   Matrix zeros(batch, 1, 0.0f);
   Matrix grad;
-  Matrix d_real = discriminator_.Forward(real_batch, true);
+  Matrix d_real = discriminator_.Forward(real_batch, rng);
   double d_loss = BceWithLogitsLoss(d_real, ones, &grad);
   discriminator_.Backward(grad);
-  Matrix d_fake = discriminator_.Forward(fake, true);
+  Matrix d_fake = discriminator_.Forward(fake, rng);
   d_loss += BceWithLogitsLoss(d_fake, zeros, &grad);
   discriminator_.Backward(grad);
   d_optimizer_->ClipGradNorm(config_.grad_clip);
@@ -170,8 +171,8 @@ std::pair<double, double> GanSynthesizer::TrainStep(const Matrix& real_batch,
 
   // --- Generator step (non-saturating) -----------------------------------
   noise = Matrix::RandomNormal(batch, config_.noise_dim, rng);
-  fake = generator_.Forward(noise, true);
-  Matrix d_out = discriminator_.Forward(fake, true);
+  fake = generator_.Forward(noise, rng);
+  Matrix d_out = discriminator_.Forward(fake, rng);
   const double g_loss = BceWithLogitsLoss(d_out, ones, &grad);
   g_optimizer_->ZeroGrad();
   d_optimizer_->ZeroGrad();  // discard discriminator grads from this pass
@@ -187,7 +188,7 @@ Result<Table> GanSynthesizer::Synthesize(int num_rows, Rng* rng) {
   if (!fitted_) return Status::FailedPrecondition("Fit GAN first");
   if (num_rows <= 0) return Status::InvalidArgument("num_rows must be > 0");
   Matrix noise = Matrix::RandomNormal(num_rows, config_.noise_dim, rng);
-  Matrix fake = generator_.Forward(noise, /*training=*/false);
+  Matrix fake = generator_.Forward(noise, /*train_rng=*/nullptr);
   return encoder_.DecodeProbabilities(fake, rng);
 }
 

@@ -39,7 +39,7 @@ class TabularActivation : public Module {
 
   const char* TypeName() const override { return "tabular_activation"; }
 
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
 
  private:

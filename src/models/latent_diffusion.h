@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "diffusion/gaussian_ddpm.h"
+#include "distributed/coordinator.h"
 #include "models/autoencoder.h"
 #include "models/synthesizer.h"
 
@@ -31,11 +32,14 @@ struct LatentDiffusionConfig {
 
 /// LatentDiff: the centralized latent tabular DDPM of Fig. 4/5 — one
 /// autoencoder over all features, a Gaussian DDPM over the (standardized)
-/// latents, stacked training. This is SiloFuse's centralized upper bound.
+/// latents, stacked training. This is SiloFuse's centralized upper bound:
+/// its latent DDPM is SiloFuse's, trained and sampled by one Coordinator
+/// (scope "latentdiff") over the single party's latents.
 class LatentDiffSynthesizer : public Synthesizer {
  public:
   explicit LatentDiffSynthesizer(LatentDiffusionConfig config = {})
-      : config_(std::move(config)) {}
+      : config_(std::move(config)),
+        coordinator_(config_.diffusion, "latentdiff") {}
 
   Status Fit(const Table& data, Rng* rng) override;
   Result<Table> Synthesize(int num_rows, Rng* rng) override;
@@ -43,7 +47,7 @@ class LatentDiffSynthesizer : public Synthesizer {
 
   const LatentDiffusionConfig& config() const { return config_; }
   TabularAutoencoder* autoencoder() { return autoencoder_.get(); }
-  GaussianDdpm* diffusion() { return diffusion_.get(); }
+  Coordinator* coordinator() { return &coordinator_; }
 
   /// Samples standardized latents and de-standardizes them; used by the
   /// privacy-sensitivity experiment (Table VII) to vary inference steps.
@@ -52,8 +56,7 @@ class LatentDiffSynthesizer : public Synthesizer {
  private:
   LatentDiffusionConfig config_;
   std::unique_ptr<TabularAutoencoder> autoencoder_;
-  std::unique_ptr<GaussianDdpm> diffusion_;
-  LatentStandardizer standardizer_;
+  Coordinator coordinator_;
 };
 
 }  // namespace silofuse

@@ -68,9 +68,9 @@ Status TabDdpmSynthesizer::Fit(const Table& data, Rng* rng) {
 
 Matrix TabDdpmSynthesizer::BackboneForward(const Matrix& x_t,
                                            const std::vector<int>& t,
-                                           bool training) {
+                                           Rng* train_rng) {
   Matrix t_emb = SinusoidalTimeEmbedding(t, config_.time_embed_dim);
-  return backbone_.Forward(Matrix::ConcatCols({x_t, t_emb}), training);
+  return backbone_.Forward(Matrix::ConcatCols({x_t, t_emb}), train_rng);
 }
 
 std::pair<double, double> TabDdpmSynthesizer::TrainStep(
@@ -108,7 +108,7 @@ std::pair<double, double> TabDdpmSynthesizer::TrainStep(
     }
   }
 
-  Matrix out = BackboneForward(x_t, t, /*training=*/true);
+  Matrix out = BackboneForward(x_t, t, rng);
 
   // Loss/gradient assembly: MSE on numeric eps-slots + mean multinomial KL.
   Matrix grad(batch, width);
@@ -179,7 +179,7 @@ Result<Table> TabDdpmSynthesizer::Synthesize(int num_rows, Rng* rng) {
     const int t_prev = (i + 1 < taus.size()) ? taus[i + 1] : 0;
     const bool adjacent = (t_prev == t - 1);
     std::fill(t_batch.begin(), t_batch.end(), t);
-    Matrix out = BackboneForward(x, t_batch, /*training=*/false);
+    Matrix out = BackboneForward(x, t_batch, /*train_rng=*/nullptr);
 
     // Numeric branch: DDIM/ancestral update from the eps prediction.
     const double abar_t = schedule_->alpha_bar(t);

@@ -54,7 +54,7 @@ class TabDdpmSynthesizer : public Synthesizer {
 
  private:
   Matrix BackboneForward(const Matrix& x_t, const std::vector<int>& t,
-                         bool training);
+                         Rng* train_rng);
 
   TabDdpmConfig config_;
   MixedEncoder encoder_{NumericScaling::kQuantileNormal};

@@ -85,8 +85,8 @@ float GeluTrainScalar(float x) { return GeluTrain(x).value; }
 
 float GeluGradScalar(float x) { return GeluTrain(x).grad; }
 
-Matrix Gelu::Forward(const Matrix& input, bool training) {
-  if (!training) {
+Matrix Gelu::Forward(const Matrix& input, Rng* train_rng) {
+  if (train_rng == nullptr) {
     // Inference (sampling, serving): no cache, and the lambda (not a raw
     // function pointer) lets the compiler inline GeluScalar into the
     // elementwise loop and vectorize FastTanh.
@@ -127,8 +127,8 @@ Matrix Gelu::Backward(const Matrix& grad_output) {
   return grad;
 }
 
-Matrix Relu::Forward(const Matrix& input, bool training) {
-  if (training) cached_input_ = input;
+Matrix Relu::Forward(const Matrix& input, Rng* train_rng) {
+  if (train_rng != nullptr) cached_input_ = input;
   return ApplyFast(input, kNsPerElemCheap,
                    [](float v) { return v > 0.0f ? v : 0.0f; });
 }
@@ -144,8 +144,8 @@ Matrix Relu::Backward(const Matrix& grad_output) {
   return grad;
 }
 
-Matrix LeakyRelu::Forward(const Matrix& input, bool training) {
-  if (training) cached_input_ = input;
+Matrix LeakyRelu::Forward(const Matrix& input, Rng* train_rng) {
+  if (train_rng != nullptr) cached_input_ = input;
   const float slope = slope_;
   return ApplyFast(input, kNsPerElemCheap,
                    [slope](float v) { return v > 0.0f ? v : slope * v; });
@@ -166,10 +166,10 @@ Matrix LeakyRelu::Backward(const Matrix& grad_output) {
   return grad;
 }
 
-Matrix Tanh::Forward(const Matrix& input, bool training) {
+Matrix Tanh::Forward(const Matrix& input, Rng* train_rng) {
   Matrix out = ApplyFast(input, kNsPerElemLibm,
                          [](float v) { return std::tanh(v); });
-  if (training) cached_output_ = out;
+  if (train_rng != nullptr) cached_output_ = out;
   return out;
 }
 
@@ -184,7 +184,7 @@ Matrix Tanh::Backward(const Matrix& grad_output) {
   return grad;
 }
 
-Matrix Sigmoid::Forward(const Matrix& input, bool /*training*/) {
+Matrix Sigmoid::Forward(const Matrix& input, Rng* /*train_rng*/) {
   cached_output_ = ApplyFast(input, kNsPerElemLibm, [](float v) {
     return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
                      : std::exp(v) / (1.0f + std::exp(v));

@@ -11,7 +11,7 @@ namespace silofuse {
 class Gelu : public Module {
  public:
   const char* TypeName() const override { return "gelu"; }
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
 
  private:
@@ -21,7 +21,7 @@ class Gelu : public Module {
 class Relu : public Module {
  public:
   const char* TypeName() const override { return "relu"; }
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
 
  private:
@@ -35,7 +35,7 @@ class LeakyRelu : public Module {
 
   const char* TypeName() const override { return "leaky_relu"; }
 
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
 
  private:
@@ -46,7 +46,7 @@ class LeakyRelu : public Module {
 class Tanh : public Module {
  public:
   const char* TypeName() const override { return "tanh"; }
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
 
  private:
@@ -56,7 +56,7 @@ class Tanh : public Module {
 class Sigmoid : public Module {
  public:
   const char* TypeName() const override { return "sigmoid"; }
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
 
  private:
@@ -65,8 +65,8 @@ class Sigmoid : public Module {
 
 /// Elementwise GELU (shared by module and tests). GeluScalar is the
 /// inference forward (deterministic FastTanh approximation, a few ulps
-/// from libm); GeluTrainScalar is the libm-tanh forward used under
-/// training=true, and GeluGradScalar is its exact derivative — training
+/// from libm); GeluTrainScalar is the libm-tanh forward of a training
+/// Forward, and GeluGradScalar is its exact derivative — training
 /// numerics are unchanged by the fast inference path. Both training
 /// scalars share one body with Gelu's training Forward, so its outputs and
 /// cached derivative equal them bit for bit.

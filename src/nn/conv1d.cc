@@ -32,7 +32,7 @@ Conv1D::Conv1D(int in_channels, int out_channels, int length, int kernel_size,
                     Matrix::RandomUniform(1, out_channels, rng, -bound, bound));
 }
 
-Matrix Conv1D::Forward(const Matrix& input, bool /*training*/) {
+Matrix Conv1D::Forward(const Matrix& input, Rng* /*train_rng*/) {
   SF_CHECK_EQ(input.cols(), in_channels_ * length_);
   cached_input_ = input;
   const int batch = input.rows();
@@ -124,7 +124,7 @@ ConvTranspose1D::ConvTranspose1D(int in_channels, int out_channels, int length,
                     Matrix::RandomUniform(1, out_channels, rng, -bound, bound));
 }
 
-Matrix ConvTranspose1D::Forward(const Matrix& input, bool /*training*/) {
+Matrix ConvTranspose1D::Forward(const Matrix& input, Rng* /*train_rng*/) {
   SF_CHECK_EQ(input.cols(), in_channels_ * length_);
   cached_input_ = input;
   const int batch = input.rows();

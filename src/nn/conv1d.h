@@ -21,7 +21,7 @@ class Conv1D : public Module {
 
   const char* TypeName() const override { return "conv1d"; }
 
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
@@ -51,7 +51,7 @@ class ConvTranspose1D : public Module {
 
   const char* TypeName() const override { return "conv_transpose1d"; }
 
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 

@@ -2,12 +2,10 @@
 
 namespace silofuse {
 
-Dropout::Dropout(float p, Rng* rng) : p_(p), rng_(rng) {
-  SF_CHECK(p >= 0.0f && p < 1.0f);
-  SF_CHECK(rng != nullptr);
-}
+Dropout::Dropout(float p) : p_(p) { SF_CHECK(p >= 0.0f && p < 1.0f); }
 
-Matrix Dropout::Forward(const Matrix& input, bool training) {
+Matrix Dropout::Forward(const Matrix& input, Rng* train_rng) {
+  const bool training = train_rng != nullptr;
   // Written only on a change, so concurrent inference forwards through one
   // model read the flag and never write it.
   if (last_training_ != training) last_training_ = training;
@@ -16,7 +14,7 @@ Matrix Dropout::Forward(const Matrix& input, bool training) {
   const float scale = 1.0f / keep;
   // Raw engine draws: std::bernoulli_distribution would dominate the
   // training profile at this call frequency.
-  auto& engine = rng_->engine();
+  auto& engine = train_rng->engine();
   const uint64_t threshold =
       static_cast<uint64_t>(keep * static_cast<double>(UINT64_MAX));
   mask_ = Matrix(input.rows(), input.cols());

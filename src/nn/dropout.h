@@ -6,20 +6,20 @@
 
 namespace silofuse {
 
-/// Inverted dropout: zeroes entries with probability p during training and
-/// rescales survivors by 1/(1-p); identity at inference.
+/// Inverted dropout: a training forward zeroes entries with probability p,
+/// drawing the mask from the call's Rng, and rescales survivors by
+/// 1/(1-p); identity at inference.
 class Dropout : public Module {
  public:
-  Dropout(float p, Rng* rng);
+  explicit Dropout(float p);
 
   const char* TypeName() const override { return "dropout"; }
 
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
 
  private:
   float p_;
-  Rng* rng_;  // not owned
   Matrix mask_;
   bool last_training_ = false;
 };

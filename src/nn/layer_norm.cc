@@ -22,7 +22,7 @@ LayerNorm::LayerNorm(int features, float eps)
   beta_ = Parameter("beta", Matrix(1, features, 0.0f));
 }
 
-Matrix LayerNorm::Forward(const Matrix& input, bool training) {
+Matrix LayerNorm::Forward(const Matrix& input, Rng* train_rng) {
   SF_CHECK_EQ(input.cols(), features_);
   const int rows = input.rows();
   // The caches only feed Backward; inference (sampling/serving) skips both
@@ -30,7 +30,7 @@ Matrix LayerNorm::Forward(const Matrix& input, bool training) {
   // arithmetic below is one shared body: the per-element chain
   // xh = (x - mean) * inv_std; y = xh * g + b is identical whether xh is
   // also stored to the cache, so fusion cannot change inference bytes.
-  const bool cache = training;
+  const bool cache = train_rng != nullptr;
   if (cache) {
     cached_xhat_ = Matrix(rows, features_);
     cached_inv_std_.assign(rows, 0.0f);

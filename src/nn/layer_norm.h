@@ -15,7 +15,7 @@ class LayerNorm : public Module {
 
   const char* TypeName() const override { return "layer_norm"; }
 
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 

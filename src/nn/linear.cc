@@ -17,13 +17,18 @@ Linear::Linear(int in_features, int out_features, Rng* rng, bool bias)
   }
 }
 
-Matrix Linear::Forward(const Matrix& input, bool training) {
+Matrix Linear::Forward(const Matrix& input, Rng* train_rng) {
   SF_CHECK_EQ(input.cols(), in_features_);
   // The cache only feeds Backward; inference skips the allocation + copy.
-  // A training forward leads to a weight update, so it retires the pack.
-  if (training) {
+  // A training forward leads to a weight update, so it retires the pack and
+  // re-creates the grads Seal released.
+  if (train_rng != nullptr) {
     cached_input_ = input;
     packed_weight_.reset();
+    if (weight_.grad.size() == 0) {
+      weight_.grad = Matrix(in_features_, out_features_);
+      if (has_bias_) bias_.grad = Matrix(1, out_features_);
+    }
   }
   return Project(input, GemmActivation::kNone);
 }
@@ -36,6 +41,12 @@ Matrix Linear::ForwardFusedGelu(const Matrix& input) {
 void Linear::PackWeights() {
   packed_weight_.emplace(/*trans_b=*/false, in_features_, out_features_,
                          weight_.value.data(), out_features_);
+}
+
+void Linear::Seal() {
+  PackWeights();
+  weight_.grad = Matrix();
+  bias_.grad = Matrix();
 }
 
 Matrix Linear::Project(const Matrix& input, GemmActivation act) const {

@@ -20,26 +20,29 @@ class Linear : public Module {
 
   const char* TypeName() const override { return "linear"; }
 
-  Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
   /// Inference-only fused y = gelu(x W + b): one GEMM with the bias and
   /// FastTanh-GELU epilogues applied in the writeback, no intermediate
-  /// matrix and no caches. Bit-identical to Forward(input, false) followed
-  /// by Gelu::Forward(., false) — the epilogue applies the exact scalar
+  /// matrix and no caches. Bit-identical to Forward(input, nullptr) then
+  /// Gelu::Forward(., nullptr) — the epilogue applies the exact scalar
   /// chain the unfused pass applies (see tensor/gemm.h). Sequential's
   /// inference peephole is the intended caller.
   Matrix ForwardFusedGelu(const Matrix& input);
 
   /// Packs the weight once in the GEMM kernel's panel layout; inference
-  /// forwards (Forward(., false) and ForwardFusedGelu) then run the packed
-  /// kernel on every shape without a per-call repack. Bytes are unchanged.
-  /// Any training Forward drops the pack, since that is the only road to
-  /// Backward and an optimizer step, so a pack never serves stale weights.
-  /// Code that writes weight().value directly must pack again afterwards.
+  /// forwards (Forward(., nullptr) and ForwardFusedGelu) then run the
+  /// packed kernel on every shape without a per-call repack. Bytes are
+  /// unchanged. Any training Forward drops the pack, since that is the only
+  /// road to Backward and an optimizer step, so a pack never serves stale
+  /// weights. Code that writes weight().value directly must pack again.
   void PackWeights();
   bool packed() const { return packed_weight_.has_value(); }
+
+  /// PackWeights, and drops the grads until the next training Forward.
+  void Seal() override;
 
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }

@@ -10,6 +10,8 @@
 
 namespace silofuse {
 
+class Rng;
+
 /// A trainable tensor: value plus accumulated gradient of the loss w.r.t. it.
 struct Parameter {
   std::string name;
@@ -43,20 +45,23 @@ class Module {
   /// "encoder.linear0.weight".
   virtual const char* TypeName() const { return "module"; }
 
-  /// Computes the layer output. `training` toggles stochastic behaviour
-  /// (dropout) and backward caching; inference passes must use
-  /// training=false, which also lets layers skip the activation caches
-  /// Backward would need (an allocation + copy per layer that matters on
-  /// the batched sampling / serving hot path).
-  virtual Matrix Forward(const Matrix& input, bool training) = 0;
+  /// Computes the layer output. A non-null `train_rng` makes a training
+  /// forward: dropout draws from it (no module keeps it) and layers fill
+  /// Backward's caches. Inference passes null and skips those caches (an
+  /// allocation + copy per layer on the sampling / serving hot path).
+  virtual Matrix Forward(const Matrix& input, Rng* train_rng) = 0;
 
   /// Given dLoss/dOutput, accumulates dLoss/dParams into the parameter
-  /// grads and returns dLoss/dInput. Must follow a Forward call with
-  /// training=true (inference forwards do not populate the caches).
+  /// grads and returns dLoss/dInput. Must follow a training Forward
+  /// (inference forwards do not populate the caches).
   virtual Matrix Backward(const Matrix& grad_output) = 0;
 
   /// Pointers to this module's trainable parameters (empty by default).
   virtual std::vector<Parameter*> Parameters() { return {}; }
+
+  /// Marks the weights fixed (Linear packs its weight and drops its grads;
+  /// containers recurse); a later training Forward undoes it.
+  virtual void Seal() {}
 
   /// Clears all parameter gradients.
   void ZeroGrad() {

@@ -21,8 +21,8 @@ class Residual : public Module {
 
   const char* TypeName() const override { return "residual"; }
 
-  Matrix Forward(const Matrix& input, bool training) override {
-    Matrix out = inner_->Forward(input, training);
+  Matrix Forward(const Matrix& input, Rng* train_rng) override {
+    Matrix out = inner_->Forward(input, train_rng);
     out.AddInPlace(input);
     return out;
   }
@@ -36,6 +36,8 @@ class Residual : public Module {
   std::vector<Parameter*> Parameters() override {
     return inner_->Parameters();
   }
+
+  void Seal() override { inner_->Seal(); }
 
  private:
   std::unique_ptr<Module> inner_;

@@ -40,7 +40,7 @@ class Sequential : public Module {
     return Add(std::make_unique<M>(std::forward<Args>(args)...));
   }
 
-  Matrix Forward(const Matrix& input, bool training) override {
+  Matrix Forward(const Matrix& input, Rng* train_rng) override {
     Matrix x = input;
     for (size_t i = 0; i < modules_.size(); ++i) {
       // Inference peephole: a Linear immediately followed by a Gelu runs as
@@ -50,7 +50,7 @@ class Sequential : public Module {
       // same scalar chain, so the bytes are too. Training always runs the
       // unfused modules — Backward needs their caches, and training
       // numerics must not depend on fusion.
-      if (!training && i + 1 < modules_.size()) {
+      if (train_rng == nullptr && i + 1 < modules_.size()) {
         auto* linear = dynamic_cast<Linear*>(modules_[i].get());
         if (linear != nullptr &&
             dynamic_cast<Gelu*>(modules_[i + 1].get()) != nullptr) {
@@ -59,7 +59,7 @@ class Sequential : public Module {
           continue;
         }
       }
-      x = modules_[i]->Forward(x, training);
+      x = modules_[i]->Forward(x, train_rng);
     }
     return x;
   }
@@ -78,6 +78,10 @@ class Sequential : public Module {
       for (Parameter* p : m->Parameters()) params.push_back(p);
     }
     return params;
+  }
+
+  void Seal() override {
+    for (auto& m : modules_) m->Seal();
   }
 
   /// Removes all modules (used when a synthesizer is re-fit).

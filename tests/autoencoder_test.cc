@@ -61,9 +61,9 @@ TEST(AutoencoderTest, TrainingReducesLoss) {
   Table data = MixedTable(400, 4);
   auto ae = TabularAutoencoder::Create(data, TinyConfig(), &rng).Value();
   const Matrix x = ae->mixed_encoder().Encode(data);
-  const double before = ae->TrainStep(x);
+  const double before = ae->TrainStep(x, &rng);
   ASSERT_TRUE(ae->Train(data, 300, 128, &rng).ok());
-  const double after = ae->TrainStep(x);
+  const double after = ae->TrainStep(x, &rng);
   EXPECT_LT(after, before);
 }
 

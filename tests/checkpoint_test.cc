@@ -5,12 +5,15 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -158,7 +161,7 @@ TEST(GaussianDdpmIoTest, RestoredModelSamplesIdentically) {
 
 // A loaded model is prepared for sampling: packed, with no grads or Adam
 // moments. Training it again must still work (the state is re-created on
-// the first TrainStep; dropout draws from the Rng the model owns), and a
+// the first TrainStep; dropout draws from the TrainStep's Rng), and a
 // Save -> Load -> Save round trip must reproduce the archive byte for byte.
 TEST(GaussianDdpmIoTest, LoadedModelTrainsAndRoundTripsBytes) {
   Rng rng(4);
@@ -190,6 +193,43 @@ TEST(GaussianDdpmIoTest, LoadedModelTrainsAndRoundTripsBytes) {
   const Matrix sample = restored.Value()->Sample(6, 5, &sample_rng);
   EXPECT_EQ(sample.rows(), 6);
   EXPECT_TRUE(std::isfinite(sample.Sum()));
+}
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Sealing (PrepareForSampling) and Save -> LoadFrom reach one state: with
+// dropout on, the two denoisers train and sample identically from there,
+// since both draw dropout masks from the training call's Rng.
+TEST(GaussianDdpmIoTest, SealedModelTrainsLikeItsReload) {
+  Rng rng(5);
+  GaussianDdpmConfig config;
+  config.data_dim = 4;
+  config.hidden_dim = 32;
+  config.num_layers = 4;
+  config.dropout = 0.1f;
+  GaussianDdpm sealed(config, &rng);
+  const Matrix z0 = Matrix::RandomNormal(64, 4, &rng);
+  for (int s = 0; s < 5; ++s) sealed.TrainStep(z0, &rng);
+  sealed.PrepareForSampling();
+  std::stringstream stream;
+  BinaryWriter writer(&stream);
+  sealed.Save(&writer);
+  BinaryReader reader(&stream);
+  auto loaded = GaussianDdpm::LoadFrom(&reader);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  Rng train_a(6), train_b(6);
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(sealed.TrainStep(z0, &train_a),
+              loaded.Value()->TrainStep(z0, &train_b))
+        << "step " << s;
+  }
+  Rng sample_a(7), sample_b(7);
+  EXPECT_TRUE(SameBytes(sealed.Sample(9, 5, &sample_a),
+                        loaded.Value()->Sample(9, 5, &sample_b)));
 }
 
 class SiloFuseCheckpointTest : public ::testing::Test {
@@ -443,6 +483,134 @@ TEST_F(SiloFuseCheckpointTest, CorruptFileFailsToLoad) {
   out.close();
   auto restored = SiloFuse::LoadCheckpoint(path_);
   EXPECT_FALSE(restored.ok());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+SiloFuseOptions TinyCheckpointOptions() {
+  SiloFuseOptions options;
+  options.base.autoencoder.hidden_dim = 32;
+  options.base.autoencoder_steps = 40;
+  options.base.diffusion_train_steps = 60;
+  options.base.batch_size = 64;
+  options.base.diffusion.hidden_dim = 32;
+  options.base.diffusion.num_layers = 3;
+  options.partition.num_clients = 2;
+  return options;
+}
+
+// A fitted model is its reload: Save -> Load -> Save gives the same bytes,
+// and from there the fitted and the loaded model train and sample alike.
+// The denoiser keeps its default dropout, so its training forwards draw
+// masks; a layer that kept Fit's Rng would read a dead stack object here
+// (ASan with detect_stack_use_after_return reports it).
+TEST_F(SiloFuseCheckpointTest, FittedModelTrainsAndSamplesLikeItsReload) {
+  const SiloFuseOptions options = TinyCheckpointOptions();
+  ASSERT_GT(options.base.diffusion.dropout, 0.0f);
+  SiloFuse fitted(options);
+  Rng rng(12);
+  ASSERT_TRUE(
+      fitted.Fit(GeneratePaperDataset("loan", 200, 13).Value(), &rng).ok());
+  ASSERT_TRUE(fitted.SaveCheckpoint(path_).ok());
+  auto loaded = SiloFuse::LoadCheckpoint(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string resaved_path = path_ + ".resaved";
+  ASSERT_TRUE(loaded.Value()->SaveCheckpoint(resaved_path).ok());
+  EXPECT_EQ(ReadFileBytes(resaved_path), ReadFileBytes(path_));
+  std::remove(resaved_path.c_str());
+
+  constexpr int kSteps = 3;
+  GaussianDdpm* fitted_ddpm = fitted.coordinator()->ddpm();
+  GaussianDdpm* loaded_ddpm = loaded.Value()->coordinator()->ddpm();
+  Rng data_rng(14);
+  const Matrix z0 =
+      Matrix::RandomNormal(64, fitted_ddpm->config().data_dim, &data_rng);
+  Rng train_a(15), train_b(15);
+  for (int s = 0; s < kSteps; ++s) {
+    EXPECT_EQ(fitted_ddpm->TrainStep(z0, &train_a),
+              loaded_ddpm->TrainStep(z0, &train_b))
+        << "denoiser step " << s;
+  }
+  Rng sample_a(16), sample_b(16);
+  EXPECT_TRUE(SameBytes(fitted_ddpm->Sample(12, 5, &sample_a),
+                        loaded_ddpm->Sample(12, 5, &sample_b)));
+
+  TabularAutoencoder* fitted_ae = fitted.client(0)->autoencoder();
+  TabularAutoencoder* loaded_ae = loaded.Value()->client(0)->autoencoder();
+  const Table& features = fitted.client(0)->features();
+  const Matrix x = fitted_ae->mixed_encoder().Encode(features);
+  for (int s = 0; s < kSteps; ++s) {
+    EXPECT_EQ(fitted_ae->TrainStep(x, &train_a),
+              loaded_ae->TrainStep(x, &train_b))
+        << "autoencoder step " << s;
+  }
+  const Matrix latents = fitted_ae->EncodeTable(features);
+  EXPECT_TRUE(SameBytes(latents, loaded_ae->EncodeTable(features)));
+  EXPECT_TRUE(SameBytes(fitted_ae->DecoderForward(latents, nullptr),
+                        loaded_ae->DecoderForward(latents, nullptr)));
+}
+
+// Layer sizes and sampling settings the constructors or the first
+// Synthesize would SF_CHECK must fail the load with kIOError instead, so a
+// hot-reload of such a file leaves a serving process up. Patches each i32
+// config field of both component archives (0 and -1; the enum fields, for
+// which 0 is valid, -1 and one past their range), inference_steps, and a
+// non-finite sampling_eta.
+TEST_F(SiloFuseCheckpointTest, CorruptSizesAndSamplingSettingsAreIOError) {
+  SiloFuse model(TinyCheckpointOptions());
+  Rng rng(17);
+  ASSERT_TRUE(
+      model.Fit(GeneratePaperDataset("loan", 120, 18).Value(), &rng).ok());
+  ASSERT_TRUE(model.SaveCheckpoint(path_).ok());
+  const std::string bytes = ReadFileBytes(path_);
+  // Offset just past a tag's characters: its archive's first field.
+  const auto after_tag = [&bytes](const std::string& tag) {
+    const size_t pos = bytes.find(tag);
+    EXPECT_NE(pos, std::string::npos) << tag;
+    return pos + tag.size();
+  };
+  struct Field {
+    std::string name;
+    size_t offset;
+    std::vector<int32_t> bad_values;
+  };
+  const std::vector<int32_t> sizes = {0, -1};
+  std::vector<Field> fields = {
+      {"inference_steps", after_tag("SILOFUSE_CKPT_V1"), sizes}};
+  const size_t ae = after_tag("tabular_autoencoder");
+  fields.push_back({"autoencoder.hidden_dim", ae, sizes});
+  fields.push_back({"autoencoder.latent_dim", ae + 4, sizes});
+  fields.push_back({"autoencoder.num_layers", ae + 8, sizes});
+  const size_t ddpm = after_tag("gaussian_ddpm");
+  fields.push_back({"ddpm.data_dim", ddpm, sizes});
+  fields.push_back({"ddpm.num_timesteps", ddpm + 4, sizes});
+  fields.push_back({"ddpm.schedule", ddpm + 8, {-1, 2}});
+  fields.push_back({"ddpm.predict", ddpm + 12, {-1, 2}});
+  fields.push_back({"ddpm.time_embed_dim", ddpm + 16, sizes});
+  fields.push_back({"ddpm.hidden_dim", ddpm + 20, sizes});
+  fields.push_back({"ddpm.num_layers", ddpm + 24, sizes});
+  for (const Field& field : fields) {
+    for (int32_t value : field.bad_values) {
+      std::string patched = bytes;
+      std::memcpy(&patched[field.offset], &value, sizeof(value));
+      WriteFileBytes(path_, patched);
+      EXPECT_EQ(SiloFuse::LoadCheckpoint(path_).status().code(),
+                StatusCode::kIOError)
+          << field.name << " = " << value;
+    }
+  }
+  const size_t eta_offset = after_tag("SILOFUSE_CKPT_V1") + sizeof(int32_t);
+  for (double eta : {std::nan(""), HUGE_VAL}) {
+    std::string patched = bytes;
+    std::memcpy(&patched[eta_offset], &eta, sizeof(eta));
+    WriteFileBytes(path_, patched);
+    EXPECT_EQ(SiloFuse::LoadCheckpoint(path_).status().code(),
+              StatusCode::kIOError)
+        << "sampling_eta = " << eta;
+  }
 }
 
 }  // namespace

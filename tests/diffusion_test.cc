@@ -225,7 +225,7 @@ GaussianDdpmConfig SmallDenoiserConfig() {
   config.num_timesteps = 50;
   config.hidden_dim = 64;
   config.num_layers = 4;
-  config.dropout = 0.05f;  // training forwards draw from the init Rng
+  config.dropout = 0.05f;  // training forwards draw from the step's Rng
   return config;
 }
 
@@ -304,7 +304,7 @@ TEST(GaussianDdpmTest, BackwardBackboneReturnsDataDimGradient) {
   config.dropout = 0.0f;
   GaussianDdpm ddpm(config, &rng);
   Matrix z = Matrix::RandomNormal(4, 5, &rng);
-  Matrix pred = ddpm.ForwardBackbone(z, {1, 2, 3, 4}, true);
+  Matrix pred = ddpm.ForwardBackbone(z, {1, 2, 3, 4}, &rng);
   Matrix grad = ddpm.BackwardBackbone(Matrix(4, 5, 1.0f));
   EXPECT_EQ(grad.rows(), 4);
   EXPECT_EQ(grad.cols(), 5);

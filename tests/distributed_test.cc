@@ -315,6 +315,20 @@ TEST(CoordinatorTest, TrainAndSampleLatents) {
   EXPECT_EQ(samples.Value().cols(), 4);
   // De-standardization restores the training scale.
   EXPECT_NEAR(samples.Value().Mean(), 2.0, 0.8);
+  // Non-positive rows or steps are a Status on both sampling entry points.
+  for (const auto& [rows, steps] :
+       {std::pair{0, 15}, std::pair{-1, 15}, std::pair{10, 0},
+        std::pair{10, -1}}) {
+    EXPECT_EQ(coordinator.SampleLatents(rows, steps, 1.0, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << rows << " rows, " << steps << " steps";
+    EXPECT_EQ(coordinator.SampleLatentsCoalesced({4, rows}, {&rng, &rng}, steps,
+                                                 1.0)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << rows << " rows, " << steps << " steps";
+  }
 }
 
 TEST(CoordinatorTest, RejectsTinyLatentSets) {

@@ -20,7 +20,7 @@ std::vector<FeatureSpan> MixedSpans() {
 TEST(TabularActivationTest, NumericSlotsAreTanh) {
   TabularActivation act(MixedSpans());
   Matrix x = Matrix::FromVector(1, 5, {2.0f, 0, 0, 0, -1.5f});
-  Matrix y = act.Forward(x, false);
+  Matrix y = act.Forward(x, nullptr);
   EXPECT_NEAR(y.at(0, 0), std::tanh(2.0f), 1e-6);
   EXPECT_NEAR(y.at(0, 4), std::tanh(-1.5f), 1e-6);
 }
@@ -28,7 +28,7 @@ TEST(TabularActivationTest, NumericSlotsAreTanh) {
 TEST(TabularActivationTest, CategoricalSpanIsSoftmax) {
   TabularActivation act(MixedSpans());
   Matrix x = Matrix::FromVector(1, 5, {0, 1.0f, 2.0f, 3.0f, 0});
-  Matrix y = act.Forward(x, false);
+  Matrix y = act.Forward(x, nullptr);
   double sum = 0.0;
   for (int k = 1; k <= 3; ++k) {
     EXPECT_GT(y.at(0, k), 0.0f);
@@ -44,16 +44,16 @@ TEST(TabularActivationTest, BackwardMatchesFiniteDifference) {
   Rng rng(1);
   Matrix x = Matrix::RandomNormal(3, 5, &rng);
   Matrix g = Matrix::RandomNormal(3, 5, &rng);
-  act.Forward(x, false);
+  act.Forward(x, nullptr);
   Matrix grad = act.Backward(g);
   const double eps = 1e-3;
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 5; ++c) {
       const float orig = x.at(r, c);
       x.at(r, c) = orig + static_cast<float>(eps);
-      const double up = act.Forward(x, false).Mul(g).Sum();
+      const double up = act.Forward(x, nullptr).Mul(g).Sum();
       x.at(r, c) = orig - static_cast<float>(eps);
-      const double down = act.Forward(x, false).Mul(g).Sum();
+      const double down = act.Forward(x, nullptr).Mul(g).Sum();
       x.at(r, c) = orig;
       const double numeric = (up - down) / (2 * eps);
       EXPECT_NEAR(grad.at(r, c), numeric,

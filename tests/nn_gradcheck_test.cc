@@ -31,7 +31,7 @@ namespace silofuse {
 namespace {
 
 double Surrogate(Module* module, const Matrix& input, const Matrix& g) {
-  Matrix out = module->Forward(input, /*training=*/false);
+  Matrix out = module->Forward(input, /*train_rng=*/nullptr);
   return out.Mul(g).Sum();
 }
 
@@ -44,7 +44,7 @@ void CheckGradients(Module* module, Matrix input, int out_rows, int out_cols,
   module->ZeroGrad();
   // Backward consumes caches that layers only populate in training mode
   // (inference forwards skip them to avoid the copies).
-  Matrix out = module->Forward(input, /*training=*/true);
+  Matrix out = module->Forward(input, &rng);
   ASSERT_EQ(out.rows(), out_rows);
   ASSERT_EQ(out.cols(), out_cols);
   Matrix grad_input = module->Backward(g);
@@ -68,7 +68,7 @@ void CheckGradients(Module* module, Matrix input, int out_rows, int out_cols,
   // Parameter gradients. Re-run forward/backward so caches match the
   // unperturbed input.
   module->ZeroGrad();
-  module->Forward(input, /*training=*/true);
+  module->Forward(input, &rng);
   module->Backward(g);
   for (Parameter* p : module->Parameters()) {
     for (int r = 0; r < p->value.rows(); ++r) {
@@ -117,8 +117,8 @@ TEST(GeluNumericsTest, TrainingAndInferenceForwardsUseTheirOwnTanh) {
   Gelu layer;
   Rng rng(7);
   Matrix input = Matrix::RandomNormal(6, 3, &rng);
-  Matrix train = layer.Forward(input, /*training=*/true);
-  Matrix infer = layer.Forward(input, /*training=*/false);
+  Matrix train = layer.Forward(input, &rng);
+  Matrix infer = layer.Forward(input, /*train_rng=*/nullptr);
   for (int r = 0; r < input.rows(); ++r) {
     for (int c = 0; c < input.cols(); ++c) {
       EXPECT_EQ(train.at(r, c), GeluTrainScalar(input.at(r, c)));
@@ -129,7 +129,7 @@ TEST(GeluNumericsTest, TrainingAndInferenceForwardsUseTheirOwnTanh) {
   // a large x is exactly x — a bit pattern the clamped rational
   // approximation need not reproduce. The training path must hit it.
   Matrix big(1, 1, 20.0f);
-  EXPECT_EQ(layer.Forward(big, /*training=*/true).at(0, 0), 20.0f);
+  EXPECT_EQ(layer.Forward(big, &rng).at(0, 0), 20.0f);
 }
 
 TEST(GradCheckTest, Relu) {
@@ -238,7 +238,7 @@ TEST(GradCheckTest, ResidualIdentityWhenInnerIsZero) {
   inner->Add(std::unique_ptr<Module>(linear));
   Residual layer(std::move(inner));
   Matrix input = Matrix::RandomNormal(2, 4, &rng);
-  EXPECT_EQ(layer.Forward(input, false), input);
+  EXPECT_EQ(layer.Forward(input, nullptr), input);
 }
 
 // ---- Fused-path coverage: the GEMM epilogue fusions (linear bias + GELU)
@@ -282,7 +282,7 @@ TEST(GeluNumericsTest, TrainingForwardAndBackwardEqualScalarsBitForBit) {
       }
       const Matrix upstream = Matrix::RandomNormal(rows, cols, &rng);
       Gelu layer;
-      const Matrix out = layer.Forward(input, /*training=*/true);
+      const Matrix out = layer.Forward(input, &rng);
       const Matrix grad = layer.Backward(upstream);
       for (size_t i = 0; i < input.size(); ++i) {
         const float x = input.data()[i];
@@ -303,6 +303,7 @@ TEST(ActivationBackwardDeathTest, ShapeMismatchWithCacheAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const Matrix input(4, 3, 0.5f);
   const Matrix wrong_batch(8, 3, 1.0f);
+  Rng rng(1);
   std::vector<std::unique_ptr<Module>> layers;
   layers.push_back(std::make_unique<Gelu>());
   layers.push_back(std::make_unique<Relu>());
@@ -311,7 +312,7 @@ TEST(ActivationBackwardDeathTest, ShapeMismatchWithCacheAborts) {
   layers.push_back(std::make_unique<Sigmoid>());
   for (auto& layer : layers) {
     EXPECT_DEATH(layer->Backward(wrong_batch), "Backward") << layer->TypeName();
-    layer->Forward(input, /*training=*/true);
+    layer->Forward(input, &rng);
     EXPECT_DEATH(layer->Backward(wrong_batch), "Backward") << layer->TypeName();
     EXPECT_EQ(layer->Backward(Matrix(4, 3, 1.0f)).rows(), 4);
   }
@@ -371,14 +372,14 @@ TEST(FusedPathTest, TrainingGradientsByteIdenticalAcrossThreads) {
   SetNumThreads(1);
   auto net_serial = build();
   net_serial->ZeroGrad();
-  const Matrix out_serial = net_serial->Forward(input, /*training=*/true);
+  const Matrix out_serial = net_serial->Forward(input, &data_rng);
   const Matrix gin_serial = net_serial->Backward(upstream);
 
   for (int threads : {2, 8}) {
     SetNumThreads(threads);
     auto net_parallel = build();
     net_parallel->ZeroGrad();
-    const Matrix out_parallel = net_parallel->Forward(input, /*training=*/true);
+    const Matrix out_parallel = net_parallel->Forward(input, &data_rng);
     const Matrix gin_parallel = net_parallel->Backward(upstream);
     EXPECT_TRUE(BytesEqual(out_parallel, out_serial)) << "threads=" << threads;
     EXPECT_TRUE(BytesEqual(gin_parallel, gin_serial)) << "threads=" << threads;
@@ -405,7 +406,7 @@ TEST(FusedPathTest, FusedLinearGeluInferenceMatchesUnfusedBytes) {
   for (int threads : {1, 8}) {
     SetNumThreads(threads);
     const Matrix unfused =
-        gelu.Forward(linear.Forward(input, /*training=*/false), false);
+        gelu.Forward(linear.Forward(input, /*train_rng=*/nullptr), nullptr);
     const Matrix fused = linear.ForwardFusedGelu(input);
     EXPECT_TRUE(BytesEqual(fused, unfused)) << "threads=" << threads;
 
@@ -418,9 +419,9 @@ TEST(FusedPathTest, FusedLinearGeluInferenceMatchesUnfusedBytes) {
     ASSERT_NE(seq_linear, nullptr);
     auto* seq_gelu = dynamic_cast<Gelu*>(net.module(1));
     ASSERT_NE(seq_gelu, nullptr);
-    const Matrix via_net = net.Forward(input, /*training=*/false);
+    const Matrix via_net = net.Forward(input, /*train_rng=*/nullptr);
     const Matrix via_modules = seq_gelu->Forward(
-        seq_linear->Forward(input, /*training=*/false), false);
+        seq_linear->Forward(input, /*train_rng=*/nullptr), nullptr);
     EXPECT_TRUE(BytesEqual(via_net, via_modules)) << "threads=" << threads;
   }
 }
@@ -441,8 +442,8 @@ TEST(FusedPathTest, PackedLinearMatchesUnpackedBytes) {
     ASSERT_TRUE(packed.packed());
     for (int m : {1, 4, 7, 13}) {
       const Matrix input = Matrix::RandomNormal(m, in, &rng);
-      EXPECT_TRUE(BytesEqual(packed.Forward(input, /*training=*/false),
-                             unpacked.Forward(input, /*training=*/false)))
+      EXPECT_TRUE(BytesEqual(packed.Forward(input, /*train_rng=*/nullptr),
+                             unpacked.Forward(input, /*train_rng=*/nullptr)))
           << "Forward m=" << m << " k=" << in << " n=" << out;
       EXPECT_TRUE(BytesEqual(packed.ForwardFusedGelu(input),
                              unpacked.ForwardFusedGelu(input)))
@@ -466,8 +467,8 @@ TEST(FusedPathTest, LayerNormInferenceMatchesTrainingForwardBytes) {
   const Matrix input = Matrix::RandomNormal(41, 19, &rng);
   for (int threads : {1, 8}) {
     SetNumThreads(threads);
-    const Matrix train = layer.Forward(input, /*training=*/true);
-    const Matrix infer = layer.Forward(input, /*training=*/false);
+    const Matrix train = layer.Forward(input, &rng);
+    const Matrix infer = layer.Forward(input, /*train_rng=*/nullptr);
     EXPECT_TRUE(BytesEqual(infer, train)) << "threads=" << threads;
   }
 }

@@ -139,7 +139,7 @@ TEST(OptimizerTest, ZeroGradClearsAllParams) {
   Rng rng(1);
   Linear layer(3, 2, &rng);
   Matrix x = Matrix::RandomNormal(4, 3, &rng);
-  layer.Forward(x, true);
+  layer.Forward(x, &rng);
   layer.Backward(Matrix(4, 2, 1.0f));
   Adam opt(layer.Parameters());
   opt.ZeroGrad();
@@ -160,7 +160,7 @@ TEST(OptimizerTest, TrainsLinearRegressionEndToEnd) {
   }
   double final_loss = 1.0;
   for (int s = 0; s < 800; ++s) {
-    Matrix pred = layer.Forward(x, true);
+    Matrix pred = layer.Forward(x, &rng);
     Matrix grad;
     final_loss = MseLoss(pred, y, &grad);
     opt.ZeroGrad();

@@ -64,7 +64,7 @@ TEST(SynthesizerSmokeTest, FittedLatentDiffDropsTrainingState) {
   LatentDiffSynthesizer model(config);
   Rng rng(11);
   ASSERT_TRUE(model.Fit(SmallData(), &rng).ok());
-  for (Parameter* p : model.diffusion()->Parameters()) {
+  for (Parameter* p : model.coordinator()->ddpm()->Parameters()) {
     EXPECT_EQ(p->grad.size(), 0u) << p->name;
   }
 }
