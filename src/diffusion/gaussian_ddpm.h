@@ -60,8 +60,20 @@ class GaussianDdpm {
   /// (GEMM rows, elementwise maps, per-row DDIM updates), block i of the
   /// result is byte-identical to its solo run while sharing every backbone
   /// forward pass with the rest of the batch.
+  ///
+  /// Each denoising step is one parallel region over row tiles of
+  /// kSampleTileRows rows: a tile runs the backbone and its DDIM update
+  /// serially, with its activations cache-resident. Tiles depend only on
+  /// the batch size, and rows never mix, so the bytes are those of one
+  /// whole-batch pass at any thread count. A batch of at most one tile runs
+  /// inline, where the backbone's kernels may still fan out.
   Matrix SampleCoalesced(const std::vector<int>& block_rows,
                          const std::vector<Rng*>& rngs, int steps, double eta);
+
+  /// Rows per sampling tile. 64 was the fastest of 64/128/256 on the 8x256
+  /// serving denoiser (4 threads) and tied at width 128: a tile's widest
+  /// activation is 64 KB, so one tile's whole backbone stays in L2.
+  static constexpr int kSampleTileRows = 64;
 
   /// Forward (noising) process of Eq. (1): F(z0, t, eps). `t` is per-row.
   Matrix ForwardProcess(const Matrix& z0, const std::vector<int>& t,

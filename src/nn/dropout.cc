@@ -7,8 +7,10 @@ Dropout::Dropout(float p) : p_(p) { SF_CHECK(p >= 0.0f && p < 1.0f); }
 Matrix Dropout::Forward(const Matrix& input, Rng* train_rng) {
   const bool training = train_rng != nullptr;
   // Written only on a change, so concurrent inference forwards through one
-  // model read the flag and never write it.
-  if (last_training_ != training) last_training_ = training;
+  // model mostly just read the flag.
+  if (last_training_.load(std::memory_order_relaxed) != training) {
+    last_training_.store(training, std::memory_order_relaxed);
+  }
   if (!training || p_ == 0.0f) return input;
   const float keep = 1.0f - p_;
   const float scale = 1.0f / keep;
@@ -28,7 +30,9 @@ Matrix Dropout::Forward(const Matrix& input, Rng* train_rng) {
 }
 
 Matrix Dropout::Backward(const Matrix& grad_output) {
-  if (!last_training_ || p_ == 0.0f) return grad_output;
+  if (!last_training_.load(std::memory_order_relaxed) || p_ == 0.0f) {
+    return grad_output;
+  }
   return grad_output.Mul(mask_);
 }
 

@@ -1,6 +1,8 @@
 #ifndef SILOFUSE_NN_DROPOUT_H_
 #define SILOFUSE_NN_DROPOUT_H_
 
+#include <atomic>
+
 #include "common/rng.h"
 #include "nn/module.h"
 
@@ -21,7 +23,12 @@ class Dropout : public Module {
  private:
   float p_;
   Matrix mask_;
-  bool last_training_ = false;
+  // Whether the last Forward was a training one. Concurrent inference
+  // forwards through one model (sampling tiles, served requests) may all
+  // reset it at once after a training forward, so it is atomic; relaxed
+  // order suffices because only Backward, which follows a training
+  // Forward on the same thread, acts on it.
+  std::atomic<bool> last_training_{false};
 };
 
 }  // namespace silofuse

@@ -24,8 +24,9 @@ constexpr int kMaxThreadSetting = 256;
 // before fan-out wins. AutoGrain sizes chunks to this floor and ParallelForCost
 // stays serial below two such chunks.
 constexpr double kMinChunkCostNs = 50'000.0;
-// Thread-local flag behind ScopedFastReduction::Active().
-thread_local bool g_fast_reduction = false;
+// True while this thread runs chunks of a parallel region (as its caller or
+// as a pool worker); a region started then runs inline, unaccounted.
+thread_local bool tls_in_region = false;
 // Static cap on chunks per region. Together with `grain` this fully
 // determines chunk boundaries from the range alone, never from the thread
 // count — the root of the determinism contract in parallel_for.h.
@@ -114,6 +115,30 @@ int64_t ChunkSize(int64_t n, int64_t grain) {
   return std::max(grain, (n + kMaxChunks - 1) / kMaxChunks);
 }
 
+// Marks the current thread as running region chunks until destroyed.
+class InRegionScope {
+ public:
+  InRegionScope() : prev_(tls_in_region) { tls_in_region = true; }
+  ~InRegionScope() { tls_in_region = prev_; }
+  InRegionScope(const InRegionScope&) = delete;
+  InRegionScope& operator=(const InRegionScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
+// Runs chunks [0, num_chunks) inline on the calling thread, in index order.
+void RunChunksInline(int64_t begin, int64_t end, int64_t chunk,
+                     int64_t num_chunks,
+                     const std::function<void(int64_t, int64_t, int64_t)>&
+                         chunk_fn) {
+  InRegionScope in_region;
+  for (int64_t i = 0; i < num_chunks; ++i) {
+    const int64_t lo = begin + i * chunk;
+    chunk_fn(i, lo, std::min(end, lo + chunk));
+  }
+}
+
 // Runs chunk_fn over the static partition, in parallel when the pool is
 // available and the region has more than one chunk. Returns after every
 // chunk finished; rethrows the first chunk exception on the caller.
@@ -124,8 +149,18 @@ void RunRegion(int64_t begin, int64_t end, int64_t grain,
   const int64_t chunk = ChunkSize(n, grain);
   const int64_t num_chunks = (n + chunk - 1) / chunk;
 
+  // Nested region: every thread of the enclosing region (its caller
+  // included) is already busy with one of its chunks, so this one runs
+  // inline, uncounted and untraced. Waiting on the pool from here could
+  // deadlock, and fanning out would only contend with sibling chunks.
+  if (tls_in_region || ThreadPool::InWorker()) {
+    RunChunksInline(begin, end, chunk, num_chunks, chunk_fn);
+    return;
+  }
+
   // Region-granular telemetry only: one counter add (and, when tracing is
-  // on, one span) per parallel region, never per chunk or per element.
+  // on, one span) per outermost parallel region, never per chunk or per
+  // element.
   static obs::Counter* region_counter =
       obs::MetricsRegistry::Global().GetCounter("runtime.regions");
   static obs::Counter* chunk_counter =
@@ -134,16 +169,18 @@ void RunRegion(int64_t begin, int64_t end, int64_t grain,
   chunk_counter->Add(num_chunks);
   SF_TRACE_SPAN("runtime.region");
 
+  // A lone chunk is not a fan-out: the kernels inside it may still use
+  // the pool.
+  if (num_chunks == 1) {
+    chunk_fn(0, begin, end);
+    return;
+  }
   int num_threads = 1;
   ThreadPool* pool = GetPool(&num_threads);
-  // Serial path: single-thread setting, a one-chunk region, or a nested
-  // call from inside a pool worker (waiting on the saturated pool could
-  // deadlock). Chunks run inline, in index order.
-  if (pool == nullptr || num_chunks == 1 || ThreadPool::InWorker()) {
-    for (int64_t i = 0; i < num_chunks; ++i) {
-      const int64_t lo = begin + i * chunk;
-      chunk_fn(i, lo, std::min(end, lo + chunk));
-    }
+  // Single-thread setting: the chunks run inline, in index order, and
+  // regions nested in them count as nested at every thread count.
+  if (pool == nullptr) {
+    RunChunksInline(begin, end, chunk, num_chunks, chunk_fn);
     return;
   }
 
@@ -158,7 +195,10 @@ void RunRegion(int64_t begin, int64_t end, int64_t grain,
   for (int i = 0; i < runners; ++i) {
     pool->Submit([region] { region->RunChunks(); });
   }
-  region->RunChunks();  // the caller participates
+  {
+    InRegionScope in_region;
+    region->RunChunks();  // the caller participates
+  }
   region->Wait();
   std::exception_ptr error;
   {
@@ -227,36 +267,9 @@ void ParallelForCost(int64_t begin, int64_t end, double cost_per_iter_ns,
 }
 
 double ParallelReduceSum(int64_t begin, int64_t end, int64_t grain,
-                         const std::function<double(int64_t, int64_t)>& fn,
-                         Reduction mode) {
+                         const std::function<double(int64_t, int64_t)>& fn) {
   const int64_t n = end - begin;
   if (n <= 0) return 0.0;
-  if (mode == Reduction::kFast) {
-    // Inference-only mode: chunk by worker count (more, smaller chunks keep
-    // all threads busy on modest ranges) and combine as a pairwise tree.
-    // Both choices change low-order bits vs kDeterministic and across
-    // thread counts — callers opted into that via ScopedFastReduction.
-    int num_threads = 1;
-    GetPool(&num_threads);
-    const int64_t target_chunks = std::max<int64_t>(1, 4 * num_threads);
-    const int64_t fast_grain =
-        std::max(grain, (n + target_chunks - 1) / target_chunks);
-    const int64_t chunk = ChunkSize(n, fast_grain);
-    const int64_t num_chunks = (n + chunk - 1) / chunk;
-    std::vector<double> partials(static_cast<size_t>(num_chunks), 0.0);
-    RunRegion(begin, end, fast_grain,
-              [&fn, &partials](int64_t idx, int64_t lo, int64_t hi) {
-                partials[static_cast<size_t>(idx)] = fn(lo, hi);
-              });
-    // Pairwise tree combine: O(log n) error growth instead of O(n).
-    for (int64_t width = 1; width < num_chunks; width *= 2) {
-      for (int64_t i = 0; i + width < num_chunks; i += 2 * width) {
-        partials[static_cast<size_t>(i)] +=
-            partials[static_cast<size_t>(i + width)];
-      }
-    }
-    return partials[0];
-  }
   const int64_t chunk = ChunkSize(n, grain);
   const int64_t num_chunks = (n + chunk - 1) / chunk;
   std::vector<double> partials(static_cast<size_t>(num_chunks), 0.0);
@@ -270,13 +283,5 @@ double ParallelReduceSum(int64_t begin, int64_t end, int64_t grain,
   for (double p : partials) total += p;
   return total;
 }
-
-ScopedFastReduction::ScopedFastReduction() : prev_(g_fast_reduction) {
-  g_fast_reduction = true;
-}
-
-ScopedFastReduction::~ScopedFastReduction() { g_fast_reduction = prev_; }
-
-bool ScopedFastReduction::Active() { return g_fast_reduction; }
 
 }  // namespace silofuse

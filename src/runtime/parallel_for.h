@@ -39,8 +39,16 @@ int ParseNumThreads(const char* value, int fallback);
 /// [begin, end) into chunks of at least `grain` iterations, possibly in
 /// parallel and in any order. `fn` must write only state owned by its range.
 /// Exceptions thrown by `fn` are rethrown on the calling thread after all
-/// chunks finish. With 1 thread (or from inside a pool worker, or when the
-/// range fits one chunk) `fn` is invoked inline as `fn(begin, end)`.
+/// chunks finish. With 1 thread, or when the range fits one chunk, the
+/// chunks run inline on the caller.
+///
+/// Nesting: a region started from inside a chunk of another region — on
+/// any thread of the enclosing region, its caller included — runs inline
+/// on that thread, in chunk order, and skips the region machinery (no pool
+/// task, no `runtime.regions` / `runtime.chunks` count, no
+/// `runtime.region` span). The outer region owns the parallelism; its
+/// chunks' kernels run serial. A one-chunk region does not count as
+/// enclosing: its kernels may still fan out.
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn);
 
@@ -61,46 +69,14 @@ int64_t AutoGrain(int64_t n, double cost_per_iter_ns);
 void ParallelForCost(int64_t begin, int64_t end, double cost_per_iter_ns,
                      const std::function<void(int64_t, int64_t)>& fn);
 
-/// Reduction determinism modes. kDeterministic is the default everywhere:
-/// chunking and combine order depend only on the range, so training
-/// trajectories are byte-identical at any thread count. kFast may chunk by
-/// thread count and combine partials as a pairwise tree — results can differ
-/// from kDeterministic in low-order bits (documented epsilon: ~1e-6 relative
-/// for float data summed in double) and MUST only be used on
-/// inference/serving paths that tolerate it.
-enum class Reduction { kDeterministic, kFast };
-
 /// Sum-reduction companion to ParallelFor: `fn(chunk_begin, chunk_end)`
 /// returns a double partial for its chunk; partials are combined in fixed
 /// chunk order on the calling thread. Because the chunking is thread-count
 /// independent, the result is bit-identical at any thread count — though it
 /// may differ in the last ulp from a single straight-line accumulation, so
-/// callers keep their serial loop below a size threshold. With
-/// Reduction::kFast the chunking scales with the worker count and partials
-/// combine as a pairwise tree; see the Reduction enum for the contract.
+/// callers keep their serial loop below a size threshold.
 double ParallelReduceSum(int64_t begin, int64_t end, int64_t grain,
-                         const std::function<double(int64_t, int64_t)>& fn,
-                         Reduction mode = Reduction::kDeterministic);
-
-/// RAII switch that lets kernels deep inside Matrix/nn pick
-/// Reduction::kFast without plumbing a mode through every signature. The
-/// flag is thread-local; parallel regions do NOT propagate it to pool
-/// workers (the mode is chosen at region setup on the calling thread, which
-/// is where reductions consult it). Serving wraps coalesced synthesis in
-/// one of these; training never constructs one.
-class ScopedFastReduction {
- public:
-  ScopedFastReduction();
-  ~ScopedFastReduction();
-  ScopedFastReduction(const ScopedFastReduction&) = delete;
-  ScopedFastReduction& operator=(const ScopedFastReduction&) = delete;
-
-  /// True when the calling thread is inside a ScopedFastReduction scope.
-  static bool Active();
-
- private:
-  bool prev_;
-};
+                         const std::function<double(int64_t, int64_t)>& fn);
 
 }  // namespace silofuse
 

@@ -131,10 +131,10 @@ Result<std::future<Result<Table>>> RequestBatcher::SubmitAsync(
   if (request.rows <= 0) {
     return Status::InvalidArgument("request rows must be positive");
   }
+  if (request.submit_ns == 0) request.submit_ns = obs::TraceNowNs();
+  const int64_t submit_ns = request.submit_ns;
   Pending pending;
   pending.request = request;
-  const int64_t submit_ns = obs::TraceNowNs();
-  pending.submit_ns = submit_ns;
   std::future<Result<Table>> future = pending.promise.get_future();
   auto& flight = obs::FlightRecorder::Global();
   {
@@ -214,9 +214,9 @@ void RequestBatcher::Dispatch(std::vector<Pending> batch, int64_t wake_ns) {
     // Queue = submit until the worker first saw work for this batch;
     // linger = the rest of the wait. A request that arrived mid-linger has
     // zero queue time, and the two always sum to dispatch - submit.
-    const int64_t queue_end = std::max(pending.submit_ns, wake_ns);
-    const double queue_ms =
-        static_cast<double>(queue_end - pending.submit_ns) / 1e6;
+    const int64_t submit_ns = pending.request.submit_ns;
+    const int64_t queue_end = std::max(submit_ns, wake_ns);
+    const double queue_ms = static_cast<double>(queue_end - submit_ns) / 1e6;
     const double linger_ms =
         static_cast<double>(std::max<int64_t>(0, dispatch_ns - queue_end)) /
         1e6;
@@ -228,7 +228,7 @@ void RequestBatcher::Dispatch(std::vector<Pending> batch, int64_t wake_ns) {
     }
     flight.Record(obs::FlightPhase::kQueue, pending.request.request_id,
                   batch_id, pending.request.deployment, pending.request.rows,
-                  pending.submit_ns, queue_end);
+                  submit_ns, queue_end);
     flight.Record(obs::FlightPhase::kLinger, pending.request.request_id,
                   batch_id, pending.request.deployment, pending.request.rows,
                   queue_end, dispatch_ns);
@@ -253,7 +253,7 @@ void RequestBatcher::Dispatch(std::vector<Pending> batch, int64_t wake_ns) {
                                 /*start=*/false);
       }
     }
-    return batch_fn_(requests, requests.front().params);
+    return batch_fn_(requests, requests.front().params, dispatch_ns);
   }();
   if (!result.ok()) {
     for (Pending& pending : batch) pending.promise.set_value(result.status());

@@ -84,13 +84,24 @@ class RequestBatcher {
     /// `deployment` must be interned (InternTraceString) or a literal.
     uint64_t request_id = 0;
     const char* deployment = nullptr;
+    /// Phase clock (trace epoch, ns), for callers that time the whole
+    /// request path. `submit_ns` opens the queue phase; a caller stamps it
+    /// before submitting so its latency shares that boundary (0 =
+    /// SubmitAsync stamps it). A non-null `done_ns` is where the batch
+    /// function stamps the end of its work for this request, which opens
+    /// the handoff back to the waiting caller.
+    int64_t submit_ns = 0;
+    int64_t* done_ns = nullptr;
   };
 
   /// Runs one coalesced pass over `batch` (all members share `params`) and
   /// returns one table per member, in order. Called on the worker thread
-  /// (or inside RunOnce) with no batcher lock held.
+  /// (or inside RunOnce) with no batcher lock held. `dispatch_ns` is the
+  /// stamp that closed every member's linger phase; the batch function's
+  /// own phases open there.
   using BatchFn = std::function<Result<std::vector<Table>>(
-      const std::vector<Request>& batch, const SamplingParams& params)>;
+      const std::vector<Request>& batch, const SamplingParams& params,
+      int64_t dispatch_ns)>;
 
   RequestBatcher(BatcherOptions options, BatchFn batch_fn);
   ~RequestBatcher();
@@ -118,7 +129,6 @@ class RequestBatcher {
   struct Pending {
     Request request;
     std::promise<Result<Table>> promise;
-    int64_t submit_ns = 0;  // trace epoch, stamped by SubmitAsync
   };
 
   /// Pops the next batch (front run with equal params, size-capped) off the

@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "runtime/parallel_for.h"
 
 namespace silofuse {
 namespace serve {
@@ -29,6 +28,7 @@ struct ServerMetrics {
   obs::Histogram* latency_ms;
   obs::Histogram* sample_ms;
   obs::Histogram* decode_ms;
+  obs::Histogram* handoff_ms;
   obs::Histogram* stream_ms;
   obs::Histogram* cache_load_ms;
 };
@@ -47,6 +47,8 @@ const ServerMetrics& Metrics() {
         registry.GetHistogram("serve.sample_ms", ServePhaseBoundsMs());
     m.decode_ms =
         registry.GetHistogram("serve.decode_ms", ServePhaseBoundsMs());
+    m.handoff_ms =
+        registry.GetHistogram("serve.handoff_ms", ServePhaseBoundsMs());
     m.stream_ms =
         registry.GetHistogram("serve.stream_ms", ServePhaseBoundsMs());
     m.cache_load_ms =
@@ -60,6 +62,7 @@ struct DeployServeMetrics {
   obs::Histogram* latency_ms;
   obs::Histogram* sample_ms;
   obs::Histogram* decode_ms;
+  obs::Histogram* handoff_ms;
   obs::Histogram* stream_ms;
 };
 
@@ -82,6 +85,8 @@ const DeployServeMetrics* DeployMetricsFor(const char* deployment) {
         registry.GetHistogram(prefix + ".sample_ms", ServePhaseBoundsMs());
     m.decode_ms =
         registry.GetHistogram(prefix + ".decode_ms", ServePhaseBoundsMs());
+    m.handoff_ms =
+        registry.GetHistogram(prefix + ".handoff_ms", ServePhaseBoundsMs());
     m.stream_ms =
         registry.GetHistogram(prefix + ".stream_ms", ServePhaseBoundsMs());
     it = cache->emplace(deployment, m).first;
@@ -280,8 +285,8 @@ RequestBatcher* SynthesisServer::BatcherFor(const std::string& deployment) {
     auto batcher = std::make_unique<RequestBatcher>(
         options_.batcher,
         [this, deployment](const std::vector<RequestBatcher::Request>& batch,
-                           const SamplingParams& params) {
-          return RunBatch(deployment, batch, params);
+                           const SamplingParams& params, int64_t dispatch_ns) {
+          return RunBatch(deployment, batch, params, dispatch_ns);
         });
     it = batchers_.emplace(deployment, std::move(batcher)).first;
   }
@@ -291,7 +296,7 @@ RequestBatcher* SynthesisServer::BatcherFor(const std::string& deployment) {
 Result<std::vector<Table>> SynthesisServer::RunBatch(
     const std::string& deployment,
     const std::vector<RequestBatcher::Request>& batch,
-    const SamplingParams& params) {
+    const SamplingParams& params, int64_t dispatch_ns) {
   // The batcher installed the batch-scoped context (round = batch id, tag =
   // deployment) before calling in; spans and flight events key off it.
   const uint64_t batch_id =
@@ -328,29 +333,23 @@ Result<std::vector<Table>> SynthesisServer::RunBatch(
     coalesced.push_back({request.rows, &rngs.back()});
   }
   CoalescedTiming timing;
-  Result<std::vector<Table>> result = [&] {
-    // Serving is a pure-inference path: opt the whole coalesced pass into
-    // the runtime's fast (tree-combined, thread-count-dependent)
-    // reductions. Output bytes are untouched — sampling/decoding writes are
-    // elementwise — only internal scalar reductions (norms/sums) take the
-    // faster combine, and the contract that each output is byte-identical
-    // to a solo request with the same seed is preserved.
-    ScopedFastReduction fast_reductions;
-    return model->SynthesizeCoalesced(coalesced, params, &timing);
-  }();
+  Result<std::vector<Table>> result =
+      model->SynthesizeCoalesced(coalesced, params, &timing);
   const int64_t done_ns = obs::TraceNowNs();
   if (!result.ok()) return result;
 
-  // Phase accounting: the sample segment runs from dispatch to the end of
-  // the shared denoising pass — deliberately including the cache fetch and
-  // latent prep, so queue+linger+sample+decode(+stream) tiles the request's
-  // latency with no unattributed gap (serve.cache_load_ms above is the
-  // finer-grained detail view). Every batch member observes the shared
-  // durations: each request really did wait for the whole pass.
+  // Phase accounting: the sample segment runs from the batcher's dispatch
+  // stamp to the end of the shared denoising pass — deliberately including
+  // the cache fetch and latent prep (serve.cache_load_ms above is the
+  // finer-grained detail view) — and decode runs from there to `done_ns`,
+  // where the caller's handoff opens. Adjacent phases share their boundary
+  // stamps, so the phases sum to the request's latency exactly. Every
+  // batch member observes the shared durations: each request really did
+  // wait for the whole pass.
   const int64_t sample_end_ns =
       timing.sample_end_ns > 0 ? timing.sample_end_ns : done_ns;
   const double sample_ms =
-      static_cast<double>(sample_end_ns - batch_start_ns) / 1e6;
+      static_cast<double>(sample_end_ns - dispatch_ns) / 1e6;
   const double decode_ms = static_cast<double>(done_ns - sample_end_ns) / 1e6;
   for (const RequestBatcher::Request& request : batch) {
     metrics.sample_ms->Observe(sample_ms);
@@ -360,9 +359,10 @@ Result<std::vector<Table>> SynthesisServer::RunBatch(
       deploy->decode_ms->Observe(decode_ms);
     }
     flight.Record(obs::FlightPhase::kSample, request.request_id, batch_id,
-                  deployment_tag, request.rows, batch_start_ns, sample_end_ns);
+                  deployment_tag, request.rows, dispatch_ns, sample_end_ns);
     flight.Record(obs::FlightPhase::kDecode, request.request_id, batch_id,
                   deployment_tag, request.rows, sample_end_ns, done_ns);
+    if (request.done_ns != nullptr) *request.done_ns = done_ns;
   }
 
   // Quality auditing taps the finished tables here, AFTER the results are
@@ -436,12 +436,25 @@ Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
   obs::ContextSpan request_span("serve.request");
 
   auto& flight = obs::FlightRecorder::Global();
-  const int64_t start_ns = obs::TraceNowNs();
+  // Phase boundaries: the latency opens at the queue phase's submit stamp
+  // and closes at the end of the last phase (handoff, or stream), so the
+  // phase histograms sum to it exactly.
+  int64_t batch_done_ns = 0;
+  order.submit_ns = obs::TraceNowNs();
+  order.done_ns = &batch_done_ns;
   Result<Table> result = BatcherFor(request.deployment)->Submit(order);
+  const int64_t handoff_end_ns = obs::TraceNowNs();
+  int64_t end_ns = handoff_end_ns;
+  if (result.ok() && batch_done_ns > 0) {
+    const double handoff_ms =
+        static_cast<double>(handoff_end_ns - batch_done_ns) / 1e6;
+    metrics.handoff_ms->Observe(handoff_ms);
+    if (deploy != nullptr) deploy->handoff_ms->Observe(handoff_ms);
+  }
   Status stream_status = Status::OK();
   if (result.ok() && sink != nullptr) {
     obs::ContextSpan stream_span("serve.stream");
-    const int64_t stream_start_ns = obs::TraceNowNs();
+    const int64_t stream_start_ns = handoff_end_ns;
     const Table& table = result.Value();
     // Chunking applies to DELIVERY only: the decode itself must be whole-
     // request (the decoder consumes its rng span-major, so decoding row
@@ -454,6 +467,7 @@ Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
       if (!stream_status.ok()) break;
     }
     const int64_t stream_end_ns = obs::TraceNowNs();
+    end_ns = stream_end_ns;
     const double stream_ms =
         static_cast<double>(stream_end_ns - stream_start_ns) / 1e6;
     metrics.stream_ms->Observe(stream_ms);
@@ -463,7 +477,7 @@ Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
                   stream_end_ns);
   }
   const double latency_ms =
-      static_cast<double>(obs::TraceNowNs() - start_ns) / 1e6;
+      static_cast<double>(end_ns - order.submit_ns) / 1e6;
   metrics.latency_ms->Observe(latency_ms);
   if (deploy != nullptr) deploy->latency_ms->Observe(latency_ms);
   if (result.ok()) metrics.rows->Add(request.rows);

@@ -126,10 +126,11 @@ std::string RenderStatusz(const ServerDebugSnapshot& snapshot);
 /// Metrics: counters serve.requests, serve.rows, serve.rejected,
 /// serve.errors; histogram serve.request_latency_ms decomposed by the
 /// phase histograms serve.queue_ms + serve.linger_ms + serve.sample_ms +
-/// serve.decode_ms + serve.stream_ms (per-deployment copies under
-/// serve.deploy.<name>.*, cache fetch detail in serve.cache_load_ms —
-/// the fetch itself is part of the sample segment so the five phases sum
-/// to the request latency); serve.batch.* / serve.cache.* from the batcher
+/// serve.decode_ms + serve.handoff_ms + serve.stream_ms (per-deployment
+/// copies under serve.deploy.<name>.*, cache fetch detail in
+/// serve.cache_load_ms — the fetch itself is part of the sample segment).
+/// Adjacent phases share their boundary stamps, so a request's phases sum
+/// to its latency exactly; serve.batch.* / serve.cache.* from the batcher
 /// and cache; serve.slo.* when SLO monitoring is enabled. Every request is
 /// also traced (serve.request/serve.dispatch/serve.batch spans with flow
 /// arrows) and recorded in the always-on flight recorder
@@ -198,10 +199,11 @@ class SynthesisServer {
                                    const RowChunkSink* sink);
 
   /// One coalesced pass for `deployment`: cache fetch + SynthesizeCoalesced.
+  /// Its sample phase opens at the batcher's `dispatch_ns`.
   Result<std::vector<Table>> RunBatch(
       const std::string& deployment,
       const std::vector<RequestBatcher::Request>& batch,
-      const SamplingParams& params);
+      const SamplingParams& params, int64_t dispatch_ns);
 
   ServeOptions options_;
   ModelCache cache_;

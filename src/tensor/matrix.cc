@@ -373,20 +373,12 @@ double Matrix::Sum() const {
   }
   // Fixed-chunk double partials combined in chunk order: identical at any
   // thread count (chunking depends only on n), within 1 ulp of the serial
-  // accumulation kept above for small matrices. Inside a
-  // ScopedFastReduction scope (serving/inference only) the runtime instead
-  // chunks by worker count and tree-combines — faster, within documented
-  // epsilon, never used by training.
-  const Reduction mode = ScopedFastReduction::Active() ? Reduction::kFast
-                                                       : Reduction::kDeterministic;
-  return ParallelReduceSum(
-      0, n, kReduceGrain,
-      [v](int64_t lo, int64_t hi) {
-        double acc = 0.0;
-        for (int64_t i = lo; i < hi; ++i) acc += v[i];
-        return acc;
-      },
-      mode);
+  // accumulation kept above for small matrices.
+  return ParallelReduceSum(0, n, kReduceGrain, [v](int64_t lo, int64_t hi) {
+    double acc = 0.0;
+    for (int64_t i = lo; i < hi; ++i) acc += v[i];
+    return acc;
+  });
 }
 
 double Matrix::Mean() const {
@@ -475,17 +467,11 @@ double Matrix::SquaredNorm() const {
     for (int64_t i = 0; i < n; ++i) acc += static_cast<double>(v[i]) * v[i];
     return acc;
   }
-  const Reduction mode = ScopedFastReduction::Active() ? Reduction::kFast
-                                                       : Reduction::kDeterministic;
-  return ParallelReduceSum(
-      0, n, kReduceGrain,
-      [v](int64_t lo, int64_t hi) {
-        double acc = 0.0;
-        for (int64_t i = lo; i < hi; ++i)
-          acc += static_cast<double>(v[i]) * v[i];
-        return acc;
-      },
-      mode);
+  return ParallelReduceSum(0, n, kReduceGrain, [v](int64_t lo, int64_t hi) {
+    double acc = 0.0;
+    for (int64_t i = lo; i < hi; ++i) acc += static_cast<double>(v[i]) * v[i];
+    return acc;
+  });
 }
 
 int Matrix::RowArgMax(int r) const {

@@ -27,6 +27,12 @@ class ThreadSettingGuard {
   int saved_;
 };
 
+int64_t RegionCount() {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  auto it = snap.counters.find("runtime.regions");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
 TEST(ThreadPoolTest, StartStopRunsAllSubmittedTasks) {
   for (int workers : {1, 2, 4}) {
     std::atomic<int> ran{0};
@@ -119,6 +125,43 @@ TEST(ParallelForTest, NestedCallFromChunkRunsInlineWithoutDeadlock) {
   for (int h : hits) ASSERT_EQ(h, 1);
 }
 
+TEST(ParallelForTest, RegionNestedInCallersChunkRunsInlineUncounted) {
+  ThreadSettingGuard guard;
+  SetNumThreads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  // The caller claims chunks of its own region alongside the pool; a region
+  // nested in one of its chunks must stay on the caller too. Which thread
+  // claims which chunk is up to the scheduler, so repeat until the caller
+  // has run at least one.
+  int outer_regions = 0;
+  int caller_chunks = 0;
+  std::atomic<int> inner_off_thread{0};
+  const int64_t regions_before = RegionCount();
+  while (caller_chunks == 0 && outer_regions < 100) {
+    ++outer_regions;
+    std::vector<int> hits(64 * 64, 0);
+    ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) {
+      const std::thread::id self = std::this_thread::get_id();
+      if (self == caller) ++caller_chunks;  // only the caller writes it
+      for (int64_t outer = lo; outer < hi; ++outer) {
+        // Large enough to fan out if it were an outermost region.
+        ParallelFor(outer * 64, (outer + 1) * 64, 1,
+                    [&](int64_t l2, int64_t h2) {
+                      if (std::this_thread::get_id() != self) {
+                        inner_off_thread.fetch_add(1);
+                      }
+                      for (int64_t i = l2; i < h2; ++i) hits[i] += 1;
+                    });
+      }
+    });
+    for (int h : hits) ASSERT_EQ(h, 1);
+  }
+  EXPECT_GT(caller_chunks, 0);
+  EXPECT_EQ(inner_off_thread.load(), 0);
+  // Only the outer regions went through the region machinery.
+  EXPECT_EQ(RegionCount(), regions_before + outer_regions);
+}
+
 TEST(ParallelForTest, ExceptionPropagatesToCaller) {
   ThreadSettingGuard guard;
   for (int threads : {1, 4}) {
@@ -200,12 +243,6 @@ TEST(AutoGrainTest, GrainIsThreadCountIndependent) {
   EXPECT_EQ(grains[0], grains[2]);
 }
 
-int64_t RegionCount() {
-  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  auto it = snap.counters.find("runtime.regions");
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
 TEST(ParallelForCostTest, SmallRangesRunInlineWithoutARegion) {
   ThreadSettingGuard guard;
   SetNumThreads(8);  // a pool is available — it must not be used
@@ -240,76 +277,6 @@ TEST(ParallelForCostTest, LargeTotalCostFansOutOnThePool) {
   });
   EXPECT_EQ(covered.load(), 1 << 20);
   EXPECT_EQ(RegionCount(), regions_before + 1);
-}
-
-// ---- Fast (inference-only) reductions.
-
-TEST(FastReductionTest, ScopeIsThreadLocalAndRestores) {
-  EXPECT_FALSE(ScopedFastReduction::Active());
-  {
-    ScopedFastReduction outer;
-    EXPECT_TRUE(ScopedFastReduction::Active());
-    {
-      ScopedFastReduction inner;
-      EXPECT_TRUE(ScopedFastReduction::Active());
-    }
-    EXPECT_TRUE(ScopedFastReduction::Active());  // nesting restores to true
-  }
-  EXPECT_FALSE(ScopedFastReduction::Active());
-}
-
-TEST(FastReductionTest, FastModeIsCloseButDeterministicModeIsExact) {
-  ThreadSettingGuard guard;
-  std::vector<double> values(1 << 17);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = std::sin(static_cast<double>(i)) * 1e-3;
-  }
-  const auto chunk_sum = [&values](int64_t lo, int64_t hi) {
-    double acc = 0.0;
-    for (int64_t i = lo; i < hi; ++i) acc += values[i];
-    return acc;
-  };
-  const int64_t n = static_cast<int64_t>(values.size());
-  SetNumThreads(1);
-  const double exact = ParallelReduceSum(0, n, 4096, chunk_sum);
-  const double scale = std::abs(exact);
-  for (int threads : {1, 2, 8}) {
-    SetNumThreads(threads);
-    // Deterministic mode: bit-identical at every thread count.
-    EXPECT_EQ(ParallelReduceSum(0, n, 4096, chunk_sum), exact)
-        << "threads=" << threads;
-    // Fast mode: thread-count-dependent chunking + tree combine may move
-    // low-order bits, but must stay within ~1e-9 relative of the exact sum.
-    const double fast =
-        ParallelReduceSum(0, n, 4096, chunk_sum, Reduction::kFast);
-    EXPECT_NEAR(fast, exact, 1e-9 * std::max(1.0, scale))
-        << "threads=" << threads;
-  }
-}
-
-TEST(FastReductionTest, MatrixReductionsHonorTheScope) {
-  ThreadSettingGuard guard;
-  Rng rng(21);
-  // Above the reduction-parallel threshold so the mode actually engages.
-  const Matrix m = Matrix::RandomNormal(256, 256, &rng);
-  SetNumThreads(1);
-  const double sum_exact = m.Sum();
-  const double norm_exact = m.SquaredNorm();
-  for (int threads : {2, 8}) {
-    SetNumThreads(threads);
-    // Outside a fast scope: byte-identical to serial.
-    EXPECT_EQ(m.Sum(), sum_exact) << "threads=" << threads;
-    EXPECT_EQ(m.SquaredNorm(), norm_exact) << "threads=" << threads;
-    // Inside: close, and the scope must not leak out of the block.
-    {
-      ScopedFastReduction fast;
-      EXPECT_NEAR(m.Sum(), sum_exact, 1e-9 * std::max(1.0, std::abs(sum_exact)))
-          << "threads=" << threads;
-      EXPECT_NEAR(m.SquaredNorm(), norm_exact, 1e-9 * norm_exact)
-          << "threads=" << threads;
-    }
-    EXPECT_EQ(m.Sum(), sum_exact) << "threads=" << threads;
-  }
 }
 
 }  // namespace
