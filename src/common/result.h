@@ -45,11 +45,6 @@ class Result {
     return std::move(*value_);
   }
 
-  /// Returns the value or `fallback` when this holds an error.
-  T ValueOr(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
  private:
   std::optional<T> value_;
   Status status_;

@@ -16,8 +16,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "IO error";
     case StatusCode::kInternal:
       return "Internal error";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kFailedPrecondition:
       return "Failed precondition";
     case StatusCode::kUnavailable:

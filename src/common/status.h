@@ -16,7 +16,6 @@ enum class StatusCode {
   kOutOfRange = 3,
   kIOError = 4,
   kInternal = 5,
-  kUnimplemented = 6,
   kFailedPrecondition = 7,
   /// A party or resource is (possibly transiently) unreachable; callers may
   /// retry with backoff. Produced by the fault-injected transport layer.
@@ -57,9 +56,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));

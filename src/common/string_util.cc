@@ -22,16 +22,6 @@ std::vector<std::string> Split(std::string_view text, char delim) {
   return parts;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view delim) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += delim;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
@@ -43,12 +33,6 @@ std::string Trim(std::string_view text) {
     --end;
   }
   return std::string(text.substr(begin, end - begin));
-}
-
-std::string ToLower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
 }
 
 std::string FormatDouble(double value, int digits) {

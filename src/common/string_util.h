@@ -10,14 +10,8 @@ namespace silofuse {
 /// Splits `text` on `delim`, keeping empty fields ("a,,b" -> {"a","","b"}).
 std::vector<std::string> Split(std::string_view text, char delim);
 
-/// Joins `parts` with `delim`.
-std::string Join(const std::vector<std::string>& parts, std::string_view delim);
-
 /// Removes leading/trailing ASCII whitespace.
 std::string Trim(std::string_view text);
-
-/// Lower-cases ASCII characters.
-std::string ToLower(std::string_view text);
 
 /// Fixed-point formatting with `digits` decimals (e.g. 3.14159, 2 -> "3.14").
 std::string FormatDouble(double value, int digits);

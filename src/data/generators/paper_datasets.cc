@@ -253,16 +253,4 @@ Result<Table> GeneratePaperDataset(const std::string& name, int num_rows,
   return generator.Generate(num_rows, &rng);
 }
 
-DatasetDifficulty GetPaperDatasetDifficulty(const std::string& name) {
-  // Section V-A: Easy = Abalone/Diabetes/Cardio; Medium = Adult/Churn/Loan;
-  // Hard = Intrusion/Heloc/Cover.
-  if (name == "abalone" || name == "diabetes" || name == "cardio") {
-    return DatasetDifficulty::kEasy;
-  }
-  if (name == "adult" || name == "churn" || name == "loan") {
-    return DatasetDifficulty::kMedium;
-  }
-  return DatasetDifficulty::kHard;
-}
-
 }  // namespace silofuse

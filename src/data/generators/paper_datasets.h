@@ -42,10 +42,6 @@ Result<PaperDatasetInfo> GetPaperDatasetInfo(const std::string& name);
 Result<Table> GeneratePaperDataset(const std::string& name, int num_rows,
                                    uint64_t seed);
 
-/// Difficulty buckets used in the paper's analysis (Section V-A).
-enum class DatasetDifficulty { kEasy, kMedium, kHard };
-DatasetDifficulty GetPaperDatasetDifficulty(const std::string& name);
-
 }  // namespace silofuse
 
 #endif  // SILOFUSE_DATA_GENERATORS_PAPER_DATASETS_H_

@@ -21,13 +21,13 @@ namespace {
 // high noise levels cannot blow up the trajectory.
 constexpr float kX0Clamp = 10.0f;
 
-// Approximate per-element cost (ns) of the noising and x0-recovery row
-// kernels (a few double mul/div per element). The runtime turns this into
+// Approximate per-element cost (ns) of the noising row kernel (a few
+// double mul/div per element). The runtime turns this into
 // a grain, so small batches stay serial and large ones fan out; each row
 // writes a disjoint slice, so results are bit-exact at any chunking.
 constexpr double kNsPerElemRow = 8.0;
 
-// Row-blocked dispatch for ForwardProcess and PredictionToX0.
+// Row-blocked dispatch for ForwardProcess.
 template <typename Fn>
 void ForBatchRows(int rows, int cols, Fn&& fn) {
   ParallelForCost(0, rows, static_cast<double>(cols) * kNsPerElemRow, fn);
@@ -139,26 +139,6 @@ Matrix GaussianDdpm::BackwardBackbone(const Matrix& grad_prediction) {
   Matrix grad_zt = grad_input.SliceCols(0, config_.data_dim);
   grad_zt.AddInPlace(skip_->Backward(grad_prediction));
   return grad_zt;
-}
-
-Matrix GaussianDdpm::PredictionToX0(const Matrix& prediction,
-                                    const Matrix& z_t,
-                                    const std::vector<int>& t) const {
-  if (config_.predict == DiffusionPrediction::kX0) return prediction;
-  Matrix x0(z_t.rows(), z_t.cols());
-  ForBatchRows(z_t.rows(), z_t.cols(), [&](int64_t r0, int64_t r1) {
-    for (int r = static_cast<int>(r0); r < r1; ++r) {
-      const double s0 = schedule_.sqrt_alpha_bar(t[r]);
-      const double s1 = schedule_.sqrt_one_minus_alpha_bar(t[r]);
-      const float* z = z_t.row_data(r);
-      const float* e = prediction.row_data(r);
-      float* x = x0.row_data(r);
-      for (int c = 0; c < z_t.cols(); ++c) {
-        x[c] = static_cast<float>((z[c] - s1 * e[c]) / s0);
-      }
-    }
-  });
-  return x0;
 }
 
 void GaussianDdpm::Save(BinaryWriter* writer) {
@@ -317,10 +297,11 @@ Matrix GaussianDdpm::SampleCoalesced(const std::vector<int>& block_rows,
     Matrix next(n, dim);
     // Denoises rows [r0, r0 + x_rows.rows()) of the batch: the backbone
     // forward, then x0 recovery, the ±kX0Clamp guard and the DDIM update
-    // fused in one pass over the rows. The scalar chain per element is
-    // that of PredictionToX0 (the schedule's precomputed sqrt tables, then
-    // a float rounding and the clamp) followed by the unfused update (s0/s1
-    // re-derived locally), so the bytes match the unfused sampler.
+    // fused in one pass over the rows. Per element, x0 is recovered from
+    // the schedule's precomputed sqrt tables (rs0/rs1), rounded to float
+    // and clamped; the DDIM update then uses s0/s1 re-derived locally. Keep
+    // this exact scalar chain: the sampled bytes of a fixed seed depend on
+    // it.
     const auto denoise_rows = [&](const Matrix& x_rows, int r0) {
       const std::vector<int> t_rows(x_rows.rows(), t);
       const Matrix prediction =

@@ -90,10 +90,6 @@ class GaussianDdpm {
   /// (timestep-embedding gradient is dropped).
   Matrix BackwardBackbone(const Matrix& grad_prediction);
 
-  /// Converts a backbone prediction into an x0 estimate at timestep t.
-  Matrix PredictionToX0(const Matrix& prediction, const Matrix& z_t,
-                        const std::vector<int>& t) const;
-
   std::vector<Parameter*> Parameters() {
     std::vector<Parameter*> params = backbone_.Parameters();
     for (Parameter* p : skip_->Parameters()) params.push_back(p);

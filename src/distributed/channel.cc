@@ -77,23 +77,16 @@ obs::Counter* Channel::TagCounterLocked(const std::string& tag) {
   return counter;
 }
 
-void Channel::Send(const std::string& from, const std::string& to,
+void Channel::Send(const std::string& /*from*/, const std::string& /*to*/,
                    int64_t bytes, const std::string& tag) {
   static obs::Counter* total_counter =
       obs::MetricsRegistry::Global().GetCounter("channel.bytes");
   static obs::Counter* message_counter =
       obs::MetricsRegistry::Global().GetCounter("channel.messages");
-  uint64_t packed_ctx = 0;
-  if (const obs::TraceContext& ambient = obs::CurrentTraceContext();
-      ambient.set()) {
-    obs::TraceContext ctx = ambient;
-    ctx.tag = obs::InternTraceString(tag);
-    packed_ctx = ctx.Pack();
-  }
   obs::Counter* tag_counter;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    log_.push_back({from, to, tag, bytes, packed_ctx});
+    ++messages_;
     bytes_by_tag_[tag] += bytes;
     total_bytes_ += bytes;
     if (!round_log_.empty()) {
@@ -158,7 +151,7 @@ int64_t Channel::total_bytes() const {
 
 int64_t Channel::message_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(log_.size());
+  return messages_;
 }
 
 int64_t Channel::rounds() const {
@@ -182,11 +175,6 @@ int64_t Channel::bytes_with_tag(const std::string& tag) const {
   return it == bytes_by_tag_.end() ? 0 : it->second;
 }
 
-std::vector<ChannelMessage> Channel::MessageLog() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return log_;
-}
-
 std::vector<ChannelRound> Channel::RoundLog() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<ChannelRound> out = round_log_;
@@ -208,16 +196,16 @@ void Channel::Reset() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     bytes = total_bytes_;
-    messages = static_cast<int64_t>(log_.size());
+    messages = messages_;
     rounds = rounds_;
     retries = retries_;
     redelivered = redelivered_bytes_;
     by_tag = bytes_by_tag_;
-    log_.clear();
     bytes_by_tag_.clear();
     round_log_.clear();
     round_start_ns_ = 0;
     total_bytes_ = 0;
+    messages_ = 0;
     rounds_ = 0;
     retries_ = 0;
     redelivered_bytes_ = 0;
@@ -236,7 +224,7 @@ void Channel::Reset() {
 std::string Channel::Summary() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
-  out << "Channel: " << total_bytes_ << " bytes in " << log_.size()
+  out << "Channel: " << total_bytes_ << " bytes in " << messages_
       << " messages over " << rounds_ << " rounds\n";
   if (retries_ > 0 || redelivered_bytes_ > 0) {
     out << "  (reliability: " << retries_ << " retries, "

@@ -17,18 +17,6 @@ namespace obs {
 class Counter;
 }  // namespace obs
 
-/// One recorded transfer between parties.
-struct ChannelMessage {
-  std::string from;
-  std::string to;
-  std::string tag;
-  int64_t bytes = 0;
-  /// Ambient obs::TraceContext at send time, TraceContext::Pack form
-  /// (0 = no context was installed). Lets post-hoc analysis attribute
-  /// every wire message to its run/round/silo without a trace export.
-  uint64_t trace_ctx = 0;
-};
-
 /// Byte/message subtotal of one communication round, so the Fig. 10
 /// pipeline can plot bytes-per-round instead of only cumulative totals.
 struct ChannelRound {
@@ -50,7 +38,7 @@ struct ChannelRound {
 int64_t MatrixWireBytes(const Matrix& m);
 
 /// In-process stand-in for the cross-silo network. Every transfer between a
-/// client and the coordinator is recorded so the communication experiments
+/// client and the coordinator is counted so the communication experiments
 /// (Fig. 10) can compare stacked vs end-to-end training byte-for-byte.
 ///
 /// Recording is thread-safe: concurrent clients may Send while another
@@ -71,7 +59,8 @@ class Channel {
   int64_t SendMatrix(const std::string& from, const std::string& to,
                      const Matrix& payload, const std::string& tag);
 
-  /// Records an arbitrary payload.
+  /// Records an arbitrary payload: its bytes, under `tag`, in the totals
+  /// and the open round. The parties name the transfer for the caller only.
   void Send(const std::string& from, const std::string& to, int64_t bytes,
             const std::string& tag);
 
@@ -97,14 +86,11 @@ class Channel {
   int64_t redelivered_bytes() const;
   int64_t bytes_with_tag(const std::string& tag) const;
 
-  /// Copy of the full message log (snapshot under the channel lock).
-  std::vector<ChannelMessage> MessageLog() const;
-
   /// Per-round subtotals, index 0 = first BeginRound. Messages sent before
   /// the first BeginRound appear only in the cumulative totals.
   std::vector<ChannelRound> RoundLog() const;
 
-  /// Clears the message/round logs AND walks back this channel's own
+  /// Clears the totals and the round log AND walks back this channel's own
   /// contributions to the global obs counters ("channel.bytes",
   /// "channel.bytes.<tag>", "channel.messages", "channel.rounds",
   /// "channel.retries", "channel.redelivered_bytes"), so registry snapshots
@@ -129,12 +115,12 @@ class Channel {
 
   mutable std::mutex mu_;
   Clock* clock_ = nullptr;  // nullptr = real monotonic clock
-  std::vector<ChannelMessage> log_;
   std::map<std::string, int64_t> bytes_by_tag_;
   std::map<std::string, obs::Counter*> tag_counters_;
   std::vector<ChannelRound> round_log_;
   int64_t round_start_ns_ = 0;
   int64_t total_bytes_ = 0;
+  int64_t messages_ = 0;
   int64_t rounds_ = 0;
   int64_t retries_ = 0;
   int64_t redelivered_bytes_ = 0;

@@ -55,16 +55,7 @@ Status E2EDistrSynthesizer::Fit(const Table& data, Rng* rng) {
   ddpm_config.data_dim = total_latent;
   ddpm_config.predict = DiffusionPrediction::kX0;  // decoder consumes x0-hat
   backbone_ = std::make_unique<GaussianDdpm>(ddpm_config, rng);
-
-  std::vector<Parameter*> params;
-  for (auto& client : clients_) {
-    for (Parameter* p : client->autoencoder()->Parameters()) {
-      params.push_back(p);
-    }
-  }
-  for (Parameter* p : backbone_->Parameters()) params.push_back(p);
-  joint_optimizer_ =
-      std::make_unique<Adam>(std::move(params), config_.autoencoder.lr);
+  joint_optimizer_.reset();
 
   const int steps = config_.autoencoder_steps + config_.diffusion_train_steps;
   obs::TraceContext run_ctx;
@@ -93,6 +84,9 @@ Status E2EDistrSynthesizer::Fit(const Table& data, Rng* rng) {
     if (s == 0) bytes_per_round_ = channel_.total_bytes() - bytes_before_first;
   }
   SF_LOG(Debug) << "E2EDistr losses: recon " << recon << " diffusion " << diff;
+  for (auto& client : clients_) client->autoencoder()->PrepareForSampling();
+  backbone_->PrepareForSampling();
+  joint_optimizer_.reset();
   fitted_ = true;
   return Status::OK();
 }
@@ -100,6 +94,18 @@ Status E2EDistrSynthesizer::Fit(const Table& data, Rng* rng) {
 Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
     const std::vector<int>& batch_rows, Rng* rng) {
   SF_CHECK(backbone_ != nullptr);
+  if (joint_optimizer_ == nullptr) {
+    // Every silo's autoencoder, then the coordinator's backbone.
+    std::vector<Parameter*> params;
+    for (auto& client : clients_) {
+      for (Parameter* p : client->autoencoder()->Parameters()) {
+        params.push_back(p);
+      }
+    }
+    for (Parameter* p : backbone_->Parameters()) params.push_back(p);
+    joint_optimizer_ =
+        std::make_unique<Adam>(std::move(params), config_.autoencoder.lr);
+  }
   // Each training iteration is one communication round; give it a 1-based
   // round number in the ambient context so its transfers (and the spans of
   // pool tasks it fans out) group per round in the trace and the profile's

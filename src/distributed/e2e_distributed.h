@@ -37,6 +37,8 @@ class E2EDistrSynthesizer : public Synthesizer {
   /// exchanges run over reliable transfers; exhausted retries or a silo
   /// vanishing mid-training surface as kUnavailable (split-learning model
   /// parallelism cannot degrade to K-of-M — every slice is load-bearing).
+  /// Fit seals every network and drops the optimizer when training ends; a
+  /// later call re-creates the optimizer (Adam moments from zero).
   Result<std::pair<double, double>> TrainIteration(
       const std::vector<int>& batch_rows, Rng* rng);
 
@@ -61,7 +63,7 @@ class E2EDistrSynthesizer : public Synthesizer {
   std::vector<std::unique_ptr<SiloClient>> clients_;
   std::vector<Matrix> client_inputs_;  // pre-encoded features per client
   std::unique_ptr<GaussianDdpm> backbone_;
-  std::unique_ptr<Adam> joint_optimizer_;
+  std::unique_ptr<Adam> joint_optimizer_;  // created by TrainIteration
   Channel channel_;
   FaultInjection fault_;
   std::unique_ptr<FaultyChannel> wire_;         // set when fault_ is active

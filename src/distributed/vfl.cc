@@ -32,7 +32,6 @@ Result<std::unique_ptr<VflClassifier>> VflClassifier::Create(
   auto model = std::unique_ptr<VflClassifier>(new VflClassifier());
   model->config_ = config;
   model->num_classes_ = num_classes;
-  std::vector<Parameter*> params;
   for (const Table& p : parts) {
     model->client_schemas_.push_back(p.schema());
     MixedEncoder encoder;
@@ -43,7 +42,6 @@ Result<std::unique_ptr<VflClassifier>> VflClassifier::Create(
     tower->Emplace<Gelu>();
     tower->Emplace<Linear>(config.client_hidden_dim, config.embedding_dim,
                            rng);
-    for (Parameter* param : tower->Parameters()) params.push_back(param);
     model->feature_encoders_.push_back(std::move(encoder));
     model->encoders_.push_back(std::move(tower));
   }
@@ -52,12 +50,6 @@ Result<std::unique_ptr<VflClassifier>> VflClassifier::Create(
   model->server_head_.Emplace<Gelu>();
   model->server_head_.Emplace<Linear>(config.server_hidden_dim, num_classes,
                                       rng);
-  for (Parameter* param : model->server_head_.Parameters()) {
-    params.push_back(param);
-  }
-  // One logical optimizer; parameters are disjoint per party, so this is
-  // equivalent to each party running its own Adam.
-  model->optimizer_ = std::make_unique<Adam>(std::move(params), config.lr);
   return model;
 }
 
@@ -101,6 +93,17 @@ Result<double> VflClassifier::Train(const std::vector<Table>& parts,
     one_hot.at(r, label) = 1.0f;
   }
 
+  if (optimizer_ == nullptr) {
+    // One logical optimizer over every client tower, then the server head;
+    // parameters are disjoint per party, so this is equivalent to each
+    // party running its own Adam.
+    std::vector<Parameter*> params;
+    for (auto& tower : encoders_) {
+      for (Parameter* param : tower->Parameters()) params.push_back(param);
+    }
+    for (Parameter* param : server_head_.Parameters()) params.push_back(param);
+    optimizer_ = std::make_unique<Adam>(std::move(params), config_.lr);
+  }
   SF_TRACE_SPAN("vfl.train");
   obs::TrainLoopTelemetry telemetry("vfl.train",
                                     std::min(config_.batch_size, rows));
@@ -138,6 +141,9 @@ Result<double> VflClassifier::Train(const std::vector<Table>& parts,
     optimizer_->ClipGradNorm(config_.grad_clip);
     optimizer_->Step();
   }
+  for (auto& tower : encoders_) tower->Seal();
+  server_head_.Seal();
+  optimizer_.reset();
   return running;
 }
 

@@ -44,7 +44,9 @@ class VflClassifier {
 
   /// Trains on the given parts/labels; labels[i] in [0, num_classes).
   /// Every step records one communication round (embeddings up, embedding
-  /// gradients down). Returns the final running loss.
+  /// gradients down). Returns the final running loss. Seals every network
+  /// and drops the optimizer when training ends; a later call re-creates
+  /// the optimizer (Adam moments from zero).
   Result<double> Train(const std::vector<Table>& parts,
                        const std::vector<double>& labels, Rng* rng);
 
@@ -71,7 +73,7 @@ class VflClassifier {
   std::vector<MixedEncoder> feature_encoders_;
   std::vector<std::unique_ptr<Sequential>> encoders_;  // client towers
   Sequential server_head_;
-  std::unique_ptr<Adam> optimizer_;
+  std::unique_ptr<Adam> optimizer_;  // created by Train
   Channel channel_;
 };
 

@@ -75,6 +75,11 @@ class TabularAutoencoder {
   /// NLL of head outputs against encoded targets; fills dLoss/dHeads.
   double HeadLoss(const Matrix& head_outputs, const Matrix& x_target_encoded,
                   Matrix* grad_heads) const;
+  /// Seals both networks and drops the Adam moments, as
+  /// GaussianDdpm::PrepareForSampling does; a later TrainStep or training
+  /// forward undoes it. Train and LoadFrom call it; the end-to-end
+  /// baselines call it when their joint training ends.
+  void PrepareForSampling();
 
   const MixedEncoder& mixed_encoder() const { return mixed_encoder_; }
   const Schema& schema() const { return mixed_encoder_.schema(); }
@@ -90,12 +95,6 @@ class TabularAutoencoder {
   static Result<std::unique_ptr<TabularAutoencoder>> LoadFrom(
       BinaryReader* reader);
 
-  /// Serialized byte size of a latent matrix with `rows` rows — what a
-  /// client ships to the coordinator (float32 payload).
-  int64_t LatentBytes(int64_t rows) const {
-    return rows * latent_dim_ * static_cast<int64_t>(sizeof(float));
-  }
-
  private:
   TabularAutoencoder() = default;
 
@@ -103,9 +102,6 @@ class TabularAutoencoder {
   void BuildHeadLayout();
   /// Builds encoder_/decoder_ (requires layout + latent_dim_).
   void BuildNetworks(Rng* rng);
-  /// Seals both networks and drops the Adam moments, as
-  /// GaussianDdpm::PrepareForSampling does; a later TrainStep undoes it.
-  void PrepareForSampling();
 
   /// Assembles a MixedEncoder-layout feature matrix from raw head outputs
   /// (numeric mean [+ sampled noise], categorical logits).

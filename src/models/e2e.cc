@@ -20,11 +20,7 @@ Status E2ESynthesizer::Fit(const Table& data, Rng* rng) {
   // the denoised latents directly.
   ddpm_config.predict = DiffusionPrediction::kX0;
   diffusion_ = std::make_unique<GaussianDdpm>(ddpm_config, rng);
-
-  std::vector<Parameter*> params = autoencoder_->Parameters();
-  for (Parameter* p : diffusion_->Parameters()) params.push_back(p);
-  joint_optimizer_ = std::make_unique<Adam>(std::move(params),
-                                            config_.autoencoder.lr);
+  joint_optimizer_.reset();
 
   const Matrix all = autoencoder_->mixed_encoder().Encode(data);
   // The joint model trains for the combined budget of the two stacked
@@ -33,7 +29,7 @@ Status E2ESynthesizer::Fit(const Table& data, Rng* rng) {
   SF_TRACE_SPAN("e2e.train");
   obs::TrainLoopTelemetry telemetry("e2e.train",
                                     std::min(config_.batch_size, all.rows()));
-  telemetry.WatchHealth(joint_optimizer_->params());
+  telemetry.WatchHealth(JointParameters());
   double recon = 0.0, diff = 0.0;
   for (int s = 0; s < steps; ++s) {
     const std::vector<int> idx = SampleBatchIndices(
@@ -45,12 +41,25 @@ Status E2ESynthesizer::Fit(const Table& data, Rng* rng) {
         telemetry.Step({{"recon_loss", recon}, {"diffusion_loss", diff}}));
   }
   SF_LOG(Debug) << "E2E losses: recon " << recon << " diffusion " << diff;
+  autoencoder_->PrepareForSampling();
+  diffusion_->PrepareForSampling();
+  joint_optimizer_.reset();
   fitted_ = true;
   return Status::OK();
 }
 
+std::vector<Parameter*> E2ESynthesizer::JointParameters() {
+  std::vector<Parameter*> params = autoencoder_->Parameters();
+  for (Parameter* p : diffusion_->Parameters()) params.push_back(p);
+  return params;
+}
+
 std::pair<double, double> E2ESynthesizer::TrainStep(const Matrix& x_encoded,
                                                     Rng* rng) {
+  if (joint_optimizer_ == nullptr) {
+    joint_optimizer_ =
+        std::make_unique<Adam>(JointParameters(), config_.autoencoder.lr);
+  }
   const int batch = x_encoded.rows();
   Matrix z = autoencoder_->EncoderForward(x_encoded, rng);
   std::vector<int> t(batch);

@@ -2,6 +2,7 @@
 #define SILOFUSE_MODELS_E2E_H_
 
 #include <memory>
+#include <vector>
 
 #include "diffusion/gaussian_ddpm.h"
 #include "models/autoencoder.h"
@@ -26,15 +27,20 @@ class E2ESynthesizer : public Synthesizer {
   std::string name() const override { return "E2E"; }
 
   /// One joint minibatch update; returns (reconstruction, diffusion) losses.
+  /// Fit seals both networks and drops the optimizer when training ends; a
+  /// later call re-creates the optimizer (Adam moments from zero).
   std::pair<double, double> TrainStep(const Matrix& x_encoded, Rng* rng);
 
   const LatentDiffusionConfig& config() const { return config_; }
 
  private:
+  /// Autoencoder parameters, then the backbone's: the optimizer's order.
+  std::vector<Parameter*> JointParameters();
+
   LatentDiffusionConfig config_;
   std::unique_ptr<TabularAutoencoder> autoencoder_;
   std::unique_ptr<GaussianDdpm> diffusion_;
-  std::unique_ptr<Adam> joint_optimizer_;
+  std::unique_ptr<Adam> joint_optimizer_;  // created by the first TrainStep
   bool fitted_ = false;
 };
 

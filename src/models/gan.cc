@@ -14,8 +14,7 @@
 
 namespace silofuse {
 
-Matrix TabularActivation::Forward(const Matrix& input,
-                                  Rng* /*train_rng*/) {
+Matrix TabularActivation::Forward(const Matrix& input, Rng* train_rng) {
   Matrix out = input;
   for (const FeatureSpan& span : spans_) {
     if (span.categorical) {
@@ -39,11 +38,16 @@ Matrix TabularActivation::Forward(const Matrix& input,
       }
     }
   }
-  cached_output_ = out;
+  if (train_rng != nullptr) cached_output_ = out;
   return out;
 }
 
 Matrix TabularActivation::Backward(const Matrix& grad_output) {
+  SF_CHECK(grad_output.rows() == cached_output_.rows() &&
+           grad_output.cols() == cached_output_.cols())
+      << "TabularActivation Backward: grad" << grad_output.ToString()
+      << "vs cache" << cached_output_.ToString()
+      << "(no matching training Forward)";
   Matrix grad = grad_output;
   for (const FeatureSpan& span : spans_) {
     if (span.categorical) {
@@ -117,10 +121,8 @@ void GanSynthesizer::BuildNetworks(int width, Rng* rng) {
   generator_.Emplace<TabularActivation>(encoder_.spans());
   PrefixParameterNames(generator_.Parameters(), "generator.");
   PrefixParameterNames(discriminator_.Parameters(), "discriminator.");
-  g_optimizer_ = std::make_unique<Adam>(generator_.Parameters(), config_.lr,
-                                        0.5f, 0.999f);
-  d_optimizer_ = std::make_unique<Adam>(discriminator_.Parameters(), config_.lr,
-                                        0.5f, 0.999f);
+  g_optimizer_.reset();
+  d_optimizer_.reset();
 }
 
 Status GanSynthesizer::Fit(const Table& data, Rng* rng) {
@@ -145,6 +147,10 @@ Status GanSynthesizer::Fit(const Table& data, Rng* rng) {
     SF_RETURN_NOT_OK(telemetry.Step({{"d_loss", d_loss}, {"g_loss", g_loss}}));
   }
   SF_LOG(Debug) << name() << " losses: D " << d_loss << " G " << g_loss;
+  generator_.Seal();
+  discriminator_.Seal();
+  g_optimizer_.reset();
+  d_optimizer_.reset();
   fitted_ = true;
   return Status::OK();
 }
@@ -152,6 +158,12 @@ Status GanSynthesizer::Fit(const Table& data, Rng* rng) {
 std::pair<double, double> GanSynthesizer::TrainStep(const Matrix& real_batch,
                                                     Rng* rng) {
   const int batch = real_batch.rows();
+  if (g_optimizer_ == nullptr) {
+    g_optimizer_ = std::make_unique<Adam>(generator_.Parameters(), config_.lr,
+                                          0.5f, 0.999f);
+    d_optimizer_ = std::make_unique<Adam>(discriminator_.Parameters(),
+                                          config_.lr, 0.5f, 0.999f);
+  }
 
   // --- Discriminator step ------------------------------------------------
   Matrix noise = Matrix::RandomNormal(batch, config_.noise_dim, rng);

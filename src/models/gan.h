@@ -41,6 +41,7 @@ class TabularActivation : public Module {
 
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void Seal() override { cached_output_ = Matrix(); }
 
  private:
   std::vector<FeatureSpan> spans_;
@@ -61,7 +62,8 @@ class GanSynthesizer : public Synthesizer {
   }
 
   /// One alternation (discriminator step + generator step); returns
-  /// (d_loss, g_loss). Exposed for tests.
+  /// (d_loss, g_loss). Exposed for tests. Fit seals both networks and drops
+  /// the optimizers when training ends; a later call re-creates them.
   std::pair<double, double> TrainStep(const Matrix& real_batch, Rng* rng);
 
   const GanConfig& config() const { return config_; }
@@ -73,6 +75,7 @@ class GanSynthesizer : public Synthesizer {
   MixedEncoder encoder_{NumericScaling::kMinMax};
   Sequential generator_;
   Sequential discriminator_;
+  // Both created by the first TrainStep.
   std::unique_ptr<Adam> g_optimizer_;
   std::unique_ptr<Adam> d_optimizer_;
   bool fitted_ = false;

@@ -43,7 +43,7 @@ Status TabDdpmSynthesizer::Fit(const Table& data, Rng* rng) {
   }
   backbone_.Emplace<Linear>(config_.hidden_dim, width, rng);
   PrefixParameterNames(backbone_.Parameters(), "backbone.");
-  optimizer_ = std::make_unique<Adam>(backbone_.Parameters(), config_.lr);
+  optimizer_.reset();
 
   const Matrix all = encoder_.Encode(data);
   SF_TRACE_SPAN("tabddpm.train");
@@ -62,6 +62,8 @@ Status TabDdpmSynthesizer::Fit(const Table& data, Rng* rng) {
   }
   SF_LOG(Debug) << "TabDDPM losses: gaussian " << g_loss << " multinomial "
                 << m_loss;
+  backbone_.Seal();
+  optimizer_.reset();
   fitted_ = true;
   return Status::OK();
 }
@@ -145,6 +147,9 @@ std::pair<double, double> TabDdpmSynthesizer::TrainStep(
     multinomial_loss /= cat_spans_.size();
   }
 
+  if (optimizer_ == nullptr) {
+    optimizer_ = std::make_unique<Adam>(backbone_.Parameters(), config_.lr);
+  }
   optimizer_->ZeroGrad();
   backbone_.Backward(grad);
   optimizer_->ClipGradNorm(config_.grad_clip);

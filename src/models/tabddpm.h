@@ -49,7 +49,9 @@ class TabDdpmSynthesizer : public Synthesizer {
   int encoded_width() const { return encoder_.encoded_width(); }
 
   /// One minibatch update on pre-encoded rows; returns (gaussian,
-  /// multinomial) losses. Exposed for tests.
+  /// multinomial) losses. Exposed for tests. Fit seals the backbone and
+  /// drops the optimizer when training ends; a later call re-creates the
+  /// optimizer (Adam moments from zero) and its training forward unseals.
   std::pair<double, double> TrainStep(const Matrix& x_encoded, Rng* rng);
 
  private:
@@ -63,7 +65,7 @@ class TabDdpmSynthesizer : public Synthesizer {
   std::vector<FeatureSpan> numeric_spans_;
   std::vector<FeatureSpan> cat_spans_;
   Sequential backbone_;
-  std::unique_ptr<Adam> optimizer_;
+  std::unique_ptr<Adam> optimizer_;  // created by the first TrainStep
   bool fitted_ = false;
 };
 

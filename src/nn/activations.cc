@@ -184,12 +184,13 @@ Matrix Tanh::Backward(const Matrix& grad_output) {
   return grad;
 }
 
-Matrix Sigmoid::Forward(const Matrix& input, Rng* /*train_rng*/) {
-  cached_output_ = ApplyFast(input, kNsPerElemLibm, [](float v) {
+Matrix Sigmoid::Forward(const Matrix& input, Rng* train_rng) {
+  Matrix out = ApplyFast(input, kNsPerElemLibm, [](float v) {
     return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
                      : std::exp(v) / (1.0f + std::exp(v));
   });
-  return cached_output_;
+  if (train_rng != nullptr) cached_output_ = out;
+  return out;
 }
 
 Matrix Sigmoid::Backward(const Matrix& grad_output) {

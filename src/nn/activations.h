@@ -13,6 +13,7 @@ class Gelu : public Module {
   const char* TypeName() const override { return "gelu"; }
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void Seal() override { cached_grad_ = Matrix(); }
 
  private:
   Matrix cached_grad_;  // GeluGradScalar(x) of the last training input
@@ -23,6 +24,7 @@ class Relu : public Module {
   const char* TypeName() const override { return "relu"; }
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void Seal() override { cached_input_ = Matrix(); }
 
  private:
   Matrix cached_input_;
@@ -37,6 +39,7 @@ class LeakyRelu : public Module {
 
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void Seal() override { cached_input_ = Matrix(); }
 
  private:
   float slope_;
@@ -48,6 +51,7 @@ class Tanh : public Module {
   const char* TypeName() const override { return "tanh"; }
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void Seal() override { cached_output_ = Matrix(); }
 
  private:
   Matrix cached_output_;
@@ -58,6 +62,7 @@ class Sigmoid : public Module {
   const char* TypeName() const override { return "sigmoid"; }
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void Seal() override { cached_output_ = Matrix(); }
 
  private:
   Matrix cached_output_;

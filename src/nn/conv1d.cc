@@ -32,9 +32,9 @@ Conv1D::Conv1D(int in_channels, int out_channels, int length, int kernel_size,
                     Matrix::RandomUniform(1, out_channels, rng, -bound, bound));
 }
 
-Matrix Conv1D::Forward(const Matrix& input, Rng* /*train_rng*/) {
+Matrix Conv1D::Forward(const Matrix& input, Rng* train_rng) {
   SF_CHECK_EQ(input.cols(), in_channels_ * length_);
-  cached_input_ = input;
+  if (train_rng != nullptr) cached_input_ = input;
   const int batch = input.rows();
   Matrix out(batch, out_channels_ * out_length_);
   for (int b = 0; b < batch; ++b) {
@@ -64,7 +64,8 @@ Matrix Conv1D::Forward(const Matrix& input, Rng* /*train_rng*/) {
 
 Matrix Conv1D::Backward(const Matrix& grad_output) {
   const int batch = cached_input_.rows();
-  SF_CHECK_EQ(grad_output.rows(), batch);
+  SF_CHECK_EQ(grad_output.rows(), batch)
+      << TypeName() << "Backward: (no matching training Forward)";
   SF_CHECK_EQ(grad_output.cols(), out_channels_ * out_length_);
   Matrix grad_input(batch, in_channels_ * length_);
   for (int b = 0; b < batch; ++b) {
@@ -124,9 +125,9 @@ ConvTranspose1D::ConvTranspose1D(int in_channels, int out_channels, int length,
                     Matrix::RandomUniform(1, out_channels, rng, -bound, bound));
 }
 
-Matrix ConvTranspose1D::Forward(const Matrix& input, Rng* /*train_rng*/) {
+Matrix ConvTranspose1D::Forward(const Matrix& input, Rng* train_rng) {
   SF_CHECK_EQ(input.cols(), in_channels_ * length_);
-  cached_input_ = input;
+  if (train_rng != nullptr) cached_input_ = input;
   const int batch = input.rows();
   Matrix out(batch, out_channels_ * out_length_);
   for (int b = 0; b < batch; ++b) {
@@ -161,7 +162,8 @@ Matrix ConvTranspose1D::Forward(const Matrix& input, Rng* /*train_rng*/) {
 
 Matrix ConvTranspose1D::Backward(const Matrix& grad_output) {
   const int batch = cached_input_.rows();
-  SF_CHECK_EQ(grad_output.rows(), batch);
+  SF_CHECK_EQ(grad_output.rows(), batch)
+      << TypeName() << "Backward: (no matching training Forward)";
   SF_CHECK_EQ(grad_output.cols(), out_channels_ * out_length_);
   Matrix grad_input(batch, in_channels_ * length_);
   for (int b = 0; b < batch; ++b) {

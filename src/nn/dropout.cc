@@ -33,6 +33,10 @@ Matrix Dropout::Backward(const Matrix& grad_output) {
   if (!last_training_.load(std::memory_order_relaxed) || p_ == 0.0f) {
     return grad_output;
   }
+  SF_CHECK(grad_output.rows() == mask_.rows() &&
+           grad_output.cols() == mask_.cols())
+      << "Dropout Backward: grad" << grad_output.ToString() << "vs mask"
+      << mask_.ToString() << "(no matching training Forward)";
   return grad_output.Mul(mask_);
 }
 

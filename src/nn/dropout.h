@@ -19,6 +19,7 @@ class Dropout : public Module {
 
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void Seal() override { mask_ = Matrix(); }
 
  private:
   float p_;

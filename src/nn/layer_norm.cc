@@ -69,7 +69,8 @@ Matrix LayerNorm::Forward(const Matrix& input, Rng* train_rng) {
 }
 
 Matrix LayerNorm::Backward(const Matrix& grad_output) {
-  SF_CHECK_EQ(grad_output.rows(), cached_xhat_.rows());
+  SF_CHECK_EQ(grad_output.rows(), cached_xhat_.rows())
+      << "LayerNorm Backward: (no matching training Forward)";
   SF_CHECK_EQ(grad_output.cols(), features_);
   const int rows = grad_output.rows();
   Matrix grad_input(rows, features_);
@@ -102,5 +103,10 @@ Matrix LayerNorm::Backward(const Matrix& grad_output) {
 }
 
 std::vector<Parameter*> LayerNorm::Parameters() { return {&gamma_, &beta_}; }
+
+void LayerNorm::Seal() {
+  cached_xhat_ = Matrix();
+  cached_inv_std_ = std::vector<float>();
+}
 
 }  // namespace silofuse

@@ -18,6 +18,7 @@ class LayerNorm : public Module {
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
+  void Seal() override;
 
  private:
   int features_;

@@ -47,6 +47,7 @@ void Linear::Seal() {
   PackWeights();
   weight_.grad = Matrix();
   bias_.grad = Matrix();
+  cached_input_ = Matrix();
 }
 
 Matrix Linear::Project(const Matrix& input, GemmActivation act) const {
@@ -69,7 +70,8 @@ Matrix Linear::Project(const Matrix& input, GemmActivation act) const {
 
 Matrix Linear::Backward(const Matrix& grad_output) {
   SF_CHECK_EQ(grad_output.cols(), out_features_);
-  SF_CHECK_EQ(grad_output.rows(), cached_input_.rows());
+  SF_CHECK_EQ(grad_output.rows(), cached_input_.rows())
+      << "Linear Backward: (no matching training Forward)";
   // dW = x^T g ; db = sum_rows(g) ; dx = g W^T.
   // dW accumulates straight into the grad buffer via the beta = 1 epilogue:
   // no temporary matrix and no second pass. Bytes are unchanged —

@@ -41,7 +41,8 @@ class Linear : public Module {
   void PackWeights();
   bool packed() const { return packed_weight_.has_value(); }
 
-  /// PackWeights, and drops the grads until the next training Forward.
+  /// PackWeights, and drops the grads and the cached input until the next
+  /// training Forward.
   void Seal() override;
 
   int in_features() const { return in_features_; }

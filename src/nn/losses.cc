@@ -174,28 +174,4 @@ double GaussianNllLoss(const Matrix& mean, const Matrix& logvar,
   return loss / static_cast<double>(n);
 }
 
-double KlStandardNormalLoss(const Matrix& mu, const Matrix& logvar,
-                            Matrix* grad_mu, Matrix* grad_logvar) {
-  SF_CHECK(mu.rows() == logvar.rows() && mu.cols() == logvar.cols());
-  const size_t n = mu.size();
-  SF_CHECK_GT(n, 0u);
-  *grad_mu = Matrix(mu.rows(), mu.cols());
-  *grad_logvar = Matrix(mu.rows(), mu.cols());
-  double loss = 0.0;
-  const float* m = mu.data();
-  const float* lv = logvar.data();
-  float* gm = grad_mu->data();
-  float* gl = grad_logvar->data();
-  const float inv_n = 1.0f / static_cast<float>(n);
-  for (size_t i = 0; i < n; ++i) {
-    const double lvi = std::min(std::max(static_cast<double>(lv[i]), -10.0), 10.0);
-    const double var = std::exp(lvi);
-    const double mi = m[i];
-    loss += 0.5 * (var + mi * mi - 1.0 - lvi);
-    gm[i] = static_cast<float>(mi) * inv_n;
-    gl[i] = static_cast<float>(0.5 * (var - 1.0)) * inv_n;
-  }
-  return loss / static_cast<double>(n);
-}
-
 }  // namespace silofuse

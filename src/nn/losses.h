@@ -32,11 +32,6 @@ double GaussianNllLoss(const Matrix& mean, const Matrix& logvar,
                        const Matrix& target, Matrix* grad_mean,
                        Matrix* grad_logvar);
 
-/// KL(N(mu, exp(logvar)) || N(0, 1)) averaged over entries; fills
-/// dLoss/dMu and dLoss/dLogvar. Used by the VAE-regularized autoencoders.
-double KlStandardNormalLoss(const Matrix& mu, const Matrix& logvar,
-                            Matrix* grad_mu, Matrix* grad_logvar);
-
 }  // namespace silofuse
 
 #endif  // SILOFUSE_NN_LOSSES_H_

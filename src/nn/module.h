@@ -59,8 +59,10 @@ class Module {
   /// Pointers to this module's trainable parameters (empty by default).
   virtual std::vector<Parameter*> Parameters() { return {}; }
 
-  /// Marks the weights fixed (Linear packs its weight and drops its grads;
-  /// containers recurse); a later training Forward undoes it.
+  /// Marks the weights fixed: Linear packs its weight and drops its grads,
+  /// every layer releases the caches only Backward reads (so a Backward
+  /// before the next training Forward fails its shape check), and
+  /// containers recurse. A later training Forward undoes it.
   virtual void Seal() {}
 
   /// Clears all parameter gradients.

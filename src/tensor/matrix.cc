@@ -121,20 +121,6 @@ Matrix Matrix::GatherRows(const std::vector<int>& indices) const {
   return out;
 }
 
-Matrix Matrix::GatherCols(const std::vector<int>& indices) const {
-  Matrix out(rows_, static_cast<int>(indices.size()));
-  for (int r = 0; r < rows_; ++r) {
-    const float* src = row_data(r);
-    float* dst = out.row_data(r);
-    for (size_t j = 0; j < indices.size(); ++j) {
-      int c = indices[j];
-      SF_CHECK(c >= 0 && c < cols_);
-      dst[j] = src[c];
-    }
-  }
-  return out;
-}
-
 Matrix Matrix::ConcatCols(const std::vector<Matrix>& parts) {
   SF_CHECK(!parts.empty());
   int rows = parts[0].rows();
@@ -205,16 +191,6 @@ Matrix Matrix::Mul(const Matrix& other) const {
 Matrix Matrix::Scale(float scalar) const {
   Matrix out = *this;
   out.ScaleInPlace(scalar);
-  return out;
-}
-
-Matrix Matrix::AddScalar(float scalar) const {
-  Matrix out = *this;
-  float* v = out.data_.data();
-  ForElements(out.data_.size(), kNsPerElemSimple,
-              [v, scalar](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) v[i] += scalar;
-  });
   return out;
 }
 
@@ -297,21 +273,6 @@ void Matrix::AddRowBroadcastInPlace(const Matrix& row) {
   });
 }
 
-Matrix Matrix::MulRowBroadcast(const Matrix& row) const {
-  SF_CHECK_EQ(row.rows(), 1);
-  SF_CHECK_EQ(row.cols(), cols_);
-  Matrix out = *this;
-  const float* src = row.data();
-  ForRows(rows_, cols_, kNsPerElemSimple,
-          [this, &out, src](int64_t r0, int64_t r1) {
-    for (int r = static_cast<int>(r0); r < r1; ++r) {
-      float* dst = out.row_data(r);
-      for (int c = 0; c < cols_; ++c) dst[c] *= src[c];
-    }
-  });
-  return out;
-}
-
 Matrix Matrix::Apply(const std::function<float(float)>& fn) const {
   Matrix out = *this;
   float* v = out.data_.data();
@@ -322,7 +283,7 @@ Matrix Matrix::Apply(const std::function<float(float)>& fn) const {
   return out;
 }
 
-// All three matmul variants delegate to the packed, register-blocked,
+// Both matmul variants delegate to the packed, register-blocked,
 // SIMD-dispatched kernel in tensor/gemm.{h,cc}. The kernel's exactness
 // contract (each output element is one ascending-k fma chain) makes its
 // bytes identical to the previous in-class kernels AND independent of
@@ -335,19 +296,6 @@ Matrix Matrix::MatMul(const Matrix& other) const {
   SF_CHECK_EQ(cols_, other.rows());
   Matrix out(rows_, other.cols());
   Gemm(/*trans_a=*/false, /*trans_b=*/false, rows_, other.cols(), cols_,
-       1.0f, data(), cols_, other.data(), other.cols(), 0.0f, out.data(),
-       out.cols());
-  return out;
-}
-
-Matrix Matrix::MatMulTransposedA(const Matrix& other) const {
-  // this: (k x m), other: (k x n) -> out: (m x n) = this^T * other.
-  // The direct trans-A kernel packs straight out of the transposed storage
-  // — no materialized Transpose() copy (the old implementation's main cost
-  // on weight-gradient GEMMs).
-  SF_CHECK_EQ(rows_, other.rows());
-  Matrix out(cols_, other.cols());
-  Gemm(/*trans_a=*/true, /*trans_b=*/false, cols_, other.cols(), rows_,
        1.0f, data(), cols_, other.data(), other.cols(), 0.0f, out.data(),
        out.cols());
   return out;
@@ -442,20 +390,6 @@ Matrix Matrix::ColStd() const {
   for (int c = 0; c < cols_; ++c) {
     out.at(0, c) = static_cast<float>(std::sqrt(acc[c] / rows_));
   }
-  return out;
-}
-
-Matrix Matrix::RowSum() const {
-  Matrix out(rows_, 1);
-  ForRows(rows_, cols_, kNsPerElemSimple,
-          [this, &out](int64_t r0, int64_t r1) {
-    for (int r = static_cast<int>(r0); r < r1; ++r) {
-      const float* src = row_data(r);
-      double acc = 0.0;
-      for (int c = 0; c < cols_; ++c) acc += src[c];
-      out.at(r, 0) = static_cast<float>(acc);
-    }
-  });
   return out;
 }
 

@@ -17,7 +17,7 @@ namespace silofuse {
 /// This is the numeric workhorse for the neural-network, diffusion, and
 /// metric layers. It is deliberately small: 2-D only, float32 storage,
 /// value semantics (copyable/movable), with the handful of kernels the
-/// SiloFuse models need (GEMM with transpose variants, broadcasts,
+/// SiloFuse models need (GEMM, plain and with B transposed; broadcasts,
 /// reductions, row/column slicing). Accumulations that feed statistics use
 /// double internally.
 ///
@@ -98,9 +98,6 @@ class Matrix {
   /// New matrix whose row i is this->row(indices[i]).
   Matrix GatherRows(const std::vector<int>& indices) const;
 
-  /// New matrix whose column j is this->col(indices[j]).
-  Matrix GatherCols(const std::vector<int>& indices) const;
-
   /// Horizontal concatenation [A | B | ...]; all parts share row count.
   static Matrix ConcatCols(const std::vector<Matrix>& parts);
 
@@ -117,8 +114,6 @@ class Matrix {
   Matrix Mul(const Matrix& other) const;
   /// this * scalar.
   Matrix Scale(float scalar) const;
-  /// this + scalar (every entry).
-  Matrix AddScalar(float scalar) const;
 
   void AddInPlace(const Matrix& other);
   void SubInPlace(const Matrix& other);
@@ -134,8 +129,6 @@ class Matrix {
   /// In-place variant of AddRowBroadcast: adds the 1 x cols() `row` to every
   /// row of this matrix without allocating a copy (hot on inference paths).
   void AddRowBroadcastInPlace(const Matrix& row);
-  /// Multiplies every row elementwise by a 1 x cols row vector.
-  Matrix MulRowBroadcast(const Matrix& row) const;
 
   /// Applies `fn` to every element, returning a new matrix.
   Matrix Apply(const std::function<float(float)>& fn) const;
@@ -144,9 +137,6 @@ class Matrix {
 
   /// C = this(rows x k) * other(k x cols).
   Matrix MatMul(const Matrix& other) const;
-  /// C = this^T * other, i.e. (k x rows)^T convention: this is (k x m),
-  /// other is (k x n), result (m x n). Used for weight gradients.
-  Matrix MatMulTransposedA(const Matrix& other) const;
   /// C = this * other^T: this (m x k), other (n x k), result (m x n).
   /// Used for input gradients.
   Matrix MatMulTransposedB(const Matrix& other) const;
@@ -166,8 +156,6 @@ class Matrix {
   Matrix ColMean() const;
   /// Per-column standard deviation (population), returns 1 x cols.
   Matrix ColStd() const;
-  /// Sum over columns: returns rows x 1.
-  Matrix RowSum() const;
   /// Squared Frobenius norm.
   double SquaredNorm() const;
 

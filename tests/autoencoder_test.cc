@@ -122,13 +122,6 @@ TEST(AutoencoderTest, HeadLossGradientMatchesFiniteDifference) {
   }
 }
 
-TEST(AutoencoderTest, LatentBytesAccounting) {
-  Rng rng(8);
-  auto ae = TabularAutoencoder::Create(MixedTable(50, 8), TinyConfig(), &rng)
-                .Value();
-  EXPECT_EQ(ae->LatentBytes(100), 100 * 3 * static_cast<int64_t>(sizeof(float)));
-}
-
 TEST(AutoencoderTest, DecodeSampledVsDeterministicDiffer) {
   Rng rng(9);
   Table data = MixedTable(300, 9);

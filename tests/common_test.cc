@@ -31,7 +31,6 @@ TEST(StatusTest, AllFactoryCodes) {
   EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::IOError("x").code(), StatusCode::kIOError);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::Unavailable("x").code(), StatusCode::kUnavailable);
@@ -56,14 +55,12 @@ TEST(ResultTest, HoldsValue) {
   Result<int> r(42);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.Value(), 42);
-  EXPECT_EQ(r.ValueOr(7), 42);
 }
 
 TEST(ResultTest, HoldsError) {
   Result<int> r(Status::NotFound("nope"));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(r.ValueOr(7), 7);
 }
 
 TEST(ResultTest, AssignOrReturnMacro) {
@@ -149,17 +146,10 @@ TEST(StringUtilTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[3], "");
 }
 
-TEST(StringUtilTest, JoinRoundTrip) {
-  EXPECT_EQ(Join({"x", "y", "z"}, ","), "x,y,z");
-  EXPECT_EQ(Join({}, ","), "");
-}
-
 TEST(StringUtilTest, TrimWhitespace) {
   EXPECT_EQ(Trim("  hello\t\n"), "hello");
   EXPECT_EQ(Trim("   "), "");
 }
-
-TEST(StringUtilTest, ToLowerAscii) { EXPECT_EQ(ToLower("AbC1"), "abc1"); }
 
 TEST(StringUtilTest, FormatDoubleDigits) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");

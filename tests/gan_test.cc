@@ -44,7 +44,7 @@ TEST(TabularActivationTest, BackwardMatchesFiniteDifference) {
   Rng rng(1);
   Matrix x = Matrix::RandomNormal(3, 5, &rng);
   Matrix g = Matrix::RandomNormal(3, 5, &rng);
-  act.Forward(x, nullptr);
+  act.Forward(x, &rng);
   Matrix grad = act.Backward(g);
   const double eps = 1e-3;
   for (int r = 0; r < 3; ++r) {

@@ -104,12 +104,6 @@ TEST(PaperDatasetsTest, DifferentSeedsDiffer) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(PaperDatasetsTest, DifficultyBuckets) {
-  EXPECT_EQ(GetPaperDatasetDifficulty("abalone"), DatasetDifficulty::kEasy);
-  EXPECT_EQ(GetPaperDatasetDifficulty("adult"), DatasetDifficulty::kMedium);
-  EXPECT_EQ(GetPaperDatasetDifficulty("cover"), DatasetDifficulty::kHard);
-}
-
 // Property sweep over all nine datasets: schema statistics line up with the
 // registry and generated data is schema-valid with a present target.
 class PaperDatasetSweep : public ::testing::TestWithParam<std::string> {};

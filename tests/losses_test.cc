@@ -211,32 +211,5 @@ TEST(LossesTest, GaussianNllGradChecks) {
       logvar, gl);
 }
 
-TEST(LossesTest, KlStandardNormalZeroAtStandard) {
-  Matrix mu(2, 2);
-  Matrix logvar(2, 2);
-  Matrix gm, gl;
-  EXPECT_NEAR(KlStandardNormalLoss(mu, logvar, &gm, &gl), 0.0, 1e-7);
-}
-
-TEST(LossesTest, KlStandardNormalGradChecks) {
-  Rng rng(7);
-  Matrix mu = Matrix::RandomNormal(2, 3, &rng);
-  Matrix logvar = Matrix::RandomNormal(2, 3, &rng, 0.0f, 0.5f);
-  Matrix gm, gl;
-  KlStandardNormalLoss(mu, logvar, &gm, &gl);
-  CheckLossGrad(
-      [&](const Matrix& m) {
-        Matrix a, b;
-        return KlStandardNormalLoss(m, logvar, &a, &b);
-      },
-      mu, gm);
-  CheckLossGrad(
-      [&](const Matrix& lv) {
-        Matrix a, b;
-        return KlStandardNormalLoss(mu, lv, &a, &b);
-      },
-      logvar, gl);
-}
-
 }  // namespace
 }  // namespace silofuse

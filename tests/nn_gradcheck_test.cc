@@ -20,6 +20,7 @@
 
 #include "nn/activations.h"
 #include "nn/conv1d.h"
+#include "nn/dropout.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/module.h"
@@ -299,8 +300,12 @@ TEST(GeluNumericsTest, TrainingForwardAndBackwardEqualScalarsBitForBit) {
 // Backward indexes its cache by the gradient's size, so a gradient whose
 // shape does not match the last training Forward (or arrives with no
 // training Forward at all) must stop the process, not read past the cache.
+// Seal releases every such cache, so a Backward after Seal must stop at the
+// same check even when its gradient has the right shape (a sealed Linear
+// has no grad buffer for its dW GEMM to accumulate into).
 TEST(ActivationBackwardDeathTest, ShapeMismatchWithCacheAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* kNoForward = "Backward.*no matching training Forward";
   const Matrix input(4, 3, 0.5f);
   const Matrix wrong_batch(8, 3, 1.0f);
   Rng rng(1);
@@ -310,11 +315,27 @@ TEST(ActivationBackwardDeathTest, ShapeMismatchWithCacheAborts) {
   layers.push_back(std::make_unique<LeakyRelu>());
   layers.push_back(std::make_unique<Tanh>());
   layers.push_back(std::make_unique<Sigmoid>());
+  layers.push_back(std::make_unique<Linear>(3, 3, &rng));
+  layers.push_back(std::make_unique<LayerNorm>(3));
+  layers.push_back(std::make_unique<Dropout>(0.5f));
+  auto net = std::make_unique<Sequential>();
+  net->Emplace<Linear>(3, 3, &rng);
+  net->Emplace<Gelu>();
+  net->Emplace<Linear>(3, 3, &rng);
+  layers.push_back(std::move(net));
   for (auto& layer : layers) {
-    EXPECT_DEATH(layer->Backward(wrong_batch), "Backward") << layer->TypeName();
+    // Dropout is the identity until a training Forward draws a mask.
+    if (std::string(layer->TypeName()) != "dropout") {
+      EXPECT_DEATH(layer->Backward(wrong_batch), kNoForward)
+          << layer->TypeName();
+    }
     layer->Forward(input, &rng);
-    EXPECT_DEATH(layer->Backward(wrong_batch), "Backward") << layer->TypeName();
+    EXPECT_DEATH(layer->Backward(wrong_batch), kNoForward)
+        << layer->TypeName();
     EXPECT_EQ(layer->Backward(Matrix(4, 3, 1.0f)).rows(), 4);
+    layer->Seal();
+    EXPECT_DEATH(layer->Backward(Matrix(4, 3, 1.0f)), kNoForward)
+        << layer->TypeName() << " after Seal";
   }
 }
 

@@ -258,10 +258,10 @@ TEST(ParallelForCostTest, SmallRangesRunInlineWithoutARegion) {
   EXPECT_EQ(covered, 1000);
   // Small matrix ops ride the same dispatch: none of these may fan out.
   Matrix small(8, 8, 1.5f);
-  small.AddScalar(1.0f);
+  (void)small.Add(small);
   small.ScaleInPlace(2.0f);
   (void)small.Transpose();
-  (void)small.RowSum();
+  (void)small.ColSum();
   EXPECT_EQ(RegionCount(), regions_before)
       << "a small-range ParallelForCost or small matrix op fanned out";
 }

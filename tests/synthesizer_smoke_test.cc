@@ -4,6 +4,7 @@
 // the full-quality sweeps.
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "models/gan.h"
 #include "models/latent_diffusion.h"
 #include "models/tabddpm.h"
+#include "runtime/parallel_for.h"
 
 namespace silofuse {
 namespace {
@@ -147,6 +149,57 @@ TEST(SynthesizerSmokeTest, E2EDistr) {
       config.autoencoder_steps + config.diffusion_train_steps;
   EXPECT_GE(model.channel().rounds(), iterations);
   EXPECT_GT(model.bytes_per_training_round(), 0);
+}
+
+// The baselines seal their networks when Fit ends, so sampling runs the
+// packed GEMM path; training and sampling must give the same bytes at any
+// thread count. 600 sampled rows span several 64-row denoising tiles.
+TEST(SynthesizerSmokeTest, BaselinesSampleSameBytesAtAnyThreadCount) {
+  struct ThreadSettingGuard {
+    int saved = NumThreads();
+    ~ThreadSettingGuard() { SetNumThreads(saved); }
+  } guard;
+  const Table data = GeneratePaperDataset("loan", 160, /*seed=*/3).Value();
+  LatentDiffusionConfig latent = TinyLatentConfig();
+  latent.autoencoder_steps = 15;
+  latent.diffusion_train_steps = 15;
+  TabDdpmConfig tabddpm;
+  tabddpm.hidden_dim = 32;
+  tabddpm.num_layers = 3;
+  tabddpm.train_steps = 20;
+  tabddpm.batch_size = 64;
+  tabddpm.inference_steps = 10;
+  GanConfig gan_linear;
+  gan_linear.hidden_dim = 32;
+  gan_linear.train_steps = 20;
+  gan_linear.batch_size = 64;
+  GanConfig gan_conv = gan_linear;
+  gan_conv.backbone = GanBackbone::kConv;
+  PartitionConfig partition;
+  partition.num_clients = 3;
+
+  std::vector<Matrix> one_thread;
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    std::vector<std::unique_ptr<Synthesizer>> models;
+    models.push_back(std::make_unique<TabDdpmSynthesizer>(tabddpm));
+    models.push_back(std::make_unique<GanSynthesizer>(gan_linear));
+    models.push_back(std::make_unique<GanSynthesizer>(gan_conv));
+    models.push_back(std::make_unique<E2ESynthesizer>(latent));
+    models.push_back(std::make_unique<E2EDistrSynthesizer>(latent, partition));
+    for (size_t i = 0; i < models.size(); ++i) {
+      Rng rng(21);
+      ASSERT_TRUE(models[i]->Fit(data, &rng).ok()) << models[i]->name();
+      auto synth = models[i]->Synthesize(600, &rng);
+      ASSERT_TRUE(synth.ok()) << models[i]->name();
+      const Matrix values = synth.Value().ToMatrix();
+      if (threads == 1) {
+        one_thread.push_back(values);
+      } else {
+        EXPECT_EQ(values, one_thread[i]) << models[i]->name();
+      }
+    }
+  }
 }
 
 TEST(SynthesizerSmokeTest, HighCardinalityDatasetChurn) {
