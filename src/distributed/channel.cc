@@ -44,7 +44,7 @@ int64_t Channel::SendMatrix(const std::string& from, const std::string& to,
                             const Matrix& payload, const std::string& tag) {
   const int64_t bytes = MatrixWireBytes(payload);
   if (!obs::TraceEnabled()) {
-    Send(from, to, bytes, tag);
+    Send(bytes, tag);
     return bytes;
   }
   // The perfect wire delivers synchronously, so both halves of the transfer
@@ -59,7 +59,7 @@ int64_t Channel::SendMatrix(const std::string& from, const std::string& to,
   {
     obs::ContextSpan send_span("channel.send", from_party, ctx);
     obs::RecordTransferFlow("transfer", flow_id, /*start=*/true, from_party);
-    Send(from, to, bytes, tag);
+    Send(bytes, tag);
   }
   {
     obs::ContextSpan recv_span("channel.recv", to_party, ctx);
@@ -77,8 +77,7 @@ obs::Counter* Channel::TagCounterLocked(const std::string& tag) {
   return counter;
 }
 
-void Channel::Send(const std::string& /*from*/, const std::string& /*to*/,
-                   int64_t bytes, const std::string& tag) {
+void Channel::Send(int64_t bytes, const std::string& tag) {
   static obs::Counter* total_counter =
       obs::MetricsRegistry::Global().GetCounter("channel.bytes");
   static obs::Counter* message_counter =

@@ -60,9 +60,8 @@ class Channel {
                      const Matrix& payload, const std::string& tag);
 
   /// Records an arbitrary payload: its bytes, under `tag`, in the totals
-  /// and the open round. The parties name the transfer for the caller only.
-  void Send(const std::string& from, const std::string& to, int64_t bytes,
-            const std::string& tag);
+  /// and the open round.
+  void Send(int64_t bytes, const std::string& tag);
 
   /// Marks the start of a communication round (a synchronized exchange
   /// between all clients and the coordinator). Closes the wall-time of the

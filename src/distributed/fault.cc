@@ -221,7 +221,7 @@ Status FaultyChannel::TryDeliver(const std::string& from, const std::string& to,
   *delay_ms = 0;
   const int64_t bytes = static_cast<int64_t>(frame.size());
   if (plan_ == nullptr) {
-    inner_->Send(from, to, bytes, tag);
+    inner_->Send(bytes, tag);
     *delivered = frame;
     return Status::OK();
   }
@@ -232,12 +232,12 @@ Status FaultyChannel::TryDeliver(const std::string& from, const std::string& to,
       return Status::Unavailable("silo unreachable on '" + tag + "' (" + from +
                                  " -> " + to + ")");
     case FaultAction::kDrop:
-      inner_->Send(from, to, bytes, tag);
+      inner_->Send(bytes, tag);
       DroppedCounter()->Increment();
       return Status::Unavailable("message dropped on '" + tag + "' (" + from +
                                  " -> " + to + ")");
     case FaultAction::kCorrupt: {
-      inner_->Send(from, to, bytes, tag);
+      inner_->Send(bytes, tag);
       *delivered = frame;
       const size_t pos = static_cast<size_t>(d.corrupt_seed % frame.size());
       (*delivered)[pos] ^= 0xFF;  // never a no-op flip
@@ -245,19 +245,19 @@ Status FaultyChannel::TryDeliver(const std::string& from, const std::string& to,
     }
     case FaultAction::kDuplicate:
       // Both copies consume bandwidth; the receiver keeps the first.
-      inner_->Send(from, to, bytes, tag);
-      inner_->Send(from, to, bytes, tag);
+      inner_->Send(bytes, tag);
+      inner_->Send(bytes, tag);
       inner_->RecordRedelivered(bytes);
       DuplicateCounter()->Increment();
       *delivered = frame;
       return Status::OK();
     case FaultAction::kDelay:
-      inner_->Send(from, to, bytes, tag);
+      inner_->Send(bytes, tag);
       *delivered = frame;
       *delay_ms = d.delay_ms;
       return Status::OK();
     case FaultAction::kDeliver:
-      inner_->Send(from, to, bytes, tag);
+      inner_->Send(bytes, tag);
       *delivered = frame;
       return Status::OK();
   }

@@ -155,6 +155,12 @@ Status GanSynthesizer::Fit(const Table& data, Rng* rng) {
   return Status::OK();
 }
 
+std::vector<Parameter*> GanSynthesizer::Parameters() {
+  std::vector<Parameter*> params = generator_.Parameters();
+  for (Parameter* p : discriminator_.Parameters()) params.push_back(p);
+  return params;
+}
+
 std::pair<double, double> GanSynthesizer::TrainStep(const Matrix& real_batch,
                                                     Rng* rng) {
   const int batch = real_batch.rows();

@@ -68,6 +68,9 @@ class GanSynthesizer : public Synthesizer {
 
   const GanConfig& config() const { return config_; }
 
+  /// Both networks' parameters, generator first. Exposed for tests.
+  std::vector<Parameter*> Parameters();
+
  private:
   void BuildNetworks(int width, Rng* rng);
 

@@ -34,7 +34,11 @@ Conv1D::Conv1D(int in_channels, int out_channels, int length, int kernel_size,
 
 Matrix Conv1D::Forward(const Matrix& input, Rng* train_rng) {
   SF_CHECK_EQ(input.cols(), in_channels_ * length_);
-  if (train_rng != nullptr) cached_input_ = input;
+  if (train_rng != nullptr) {
+    cached_input_ = input;
+    weight_.EnsureGrad();
+    bias_.EnsureGrad();
+  }
   const int batch = input.rows();
   Matrix out(batch, out_channels_ * out_length_);
   for (int b = 0; b < batch; ++b) {
@@ -101,6 +105,12 @@ Matrix Conv1D::Backward(const Matrix& grad_output) {
 
 std::vector<Parameter*> Conv1D::Parameters() { return {&weight_, &bias_}; }
 
+void Conv1D::Seal() {
+  weight_.grad = Matrix();
+  bias_.grad = Matrix();
+  cached_input_ = Matrix();
+}
+
 ConvTranspose1D::ConvTranspose1D(int in_channels, int out_channels, int length,
                                  int kernel_size, int stride, int padding,
                                  Rng* rng)
@@ -127,7 +137,11 @@ ConvTranspose1D::ConvTranspose1D(int in_channels, int out_channels, int length,
 
 Matrix ConvTranspose1D::Forward(const Matrix& input, Rng* train_rng) {
   SF_CHECK_EQ(input.cols(), in_channels_ * length_);
-  if (train_rng != nullptr) cached_input_ = input;
+  if (train_rng != nullptr) {
+    cached_input_ = input;
+    weight_.EnsureGrad();
+    bias_.EnsureGrad();
+  }
   const int batch = input.rows();
   Matrix out(batch, out_channels_ * out_length_);
   for (int b = 0; b < batch; ++b) {
@@ -203,6 +217,12 @@ Matrix ConvTranspose1D::Backward(const Matrix& grad_output) {
 
 std::vector<Parameter*> ConvTranspose1D::Parameters() {
   return {&weight_, &bias_};
+}
+
+void ConvTranspose1D::Seal() {
+  weight_.grad = Matrix();
+  bias_.grad = Matrix();
+  cached_input_ = Matrix();
 }
 
 }  // namespace silofuse

@@ -24,7 +24,7 @@ class Conv1D : public Module {
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
-  void Seal() override { cached_input_ = Matrix(); }
+  void Seal() override;
 
   int out_length() const { return out_length_; }
   int out_features() const { return out_channels_ * out_length_; }
@@ -55,7 +55,7 @@ class ConvTranspose1D : public Module {
   Matrix Forward(const Matrix& input, Rng* train_rng) override;
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
-  void Seal() override { cached_input_ = Matrix(); }
+  void Seal() override;
 
   int out_length() const { return out_length_; }
   int out_features() const { return out_channels_ * out_length_; }

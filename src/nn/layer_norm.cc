@@ -32,6 +32,8 @@ Matrix LayerNorm::Forward(const Matrix& input, Rng* train_rng) {
   // also stored to the cache, so fusion cannot change inference bytes.
   const bool cache = train_rng != nullptr;
   if (cache) {
+    gamma_.EnsureGrad();
+    beta_.EnsureGrad();
     cached_xhat_ = Matrix(rows, features_);
     cached_inv_std_.assign(rows, 0.0f);
   }
@@ -105,6 +107,8 @@ Matrix LayerNorm::Backward(const Matrix& grad_output) {
 std::vector<Parameter*> LayerNorm::Parameters() { return {&gamma_, &beta_}; }
 
 void LayerNorm::Seal() {
+  gamma_.grad = Matrix();
+  beta_.grad = Matrix();
   cached_xhat_ = Matrix();
   cached_inv_std_ = std::vector<float>();
 }

@@ -25,10 +25,8 @@ Matrix Linear::Forward(const Matrix& input, Rng* train_rng) {
   if (train_rng != nullptr) {
     cached_input_ = input;
     packed_weight_.reset();
-    if (weight_.grad.size() == 0) {
-      weight_.grad = Matrix(in_features_, out_features_);
-      if (has_bias_) bias_.grad = Matrix(1, out_features_);
-    }
+    weight_.EnsureGrad();
+    bias_.EnsureGrad();
   }
   return Project(input, GemmActivation::kNone);
 }

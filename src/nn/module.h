@@ -22,6 +22,12 @@ struct Parameter {
   Parameter(std::string n, Matrix v)
       : name(std::move(n)), value(std::move(v)),
         grad(value.rows(), value.cols()) {}
+
+  /// Re-creates the zero grad that Seal released; a no-op while it exists.
+  /// Layers call it on every training Forward.
+  void EnsureGrad() {
+    if (grad.size() == 0) grad = Matrix(value.rows(), value.cols());
+  }
 };
 
 /// Base class for differentiable layers.
@@ -59,10 +65,10 @@ class Module {
   /// Pointers to this module's trainable parameters (empty by default).
   virtual std::vector<Parameter*> Parameters() { return {}; }
 
-  /// Marks the weights fixed: Linear packs its weight and drops its grads,
-  /// every layer releases the caches only Backward reads (so a Backward
-  /// before the next training Forward fails its shape check), and
-  /// containers recurse. A later training Forward undoes it.
+  /// Marks the weights fixed: Linear packs its weight, every layer drops
+  /// its parameters' grads and releases the caches only Backward reads (so
+  /// a Backward before the next training Forward fails its shape check),
+  /// and containers recurse. A later training Forward undoes it.
   virtual void Seal() {}
 
   /// Clears all parameter gradients.

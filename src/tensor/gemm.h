@@ -30,12 +30,16 @@ enum class GemmActivation { kNone, kGeluFast };
 ///   v      = GeluFast(v)                     (if act == kGeluFast)
 ///
 /// computed with exactly-rounded std::fma. Because the per-element chain is
-/// fixed, the bytes of C are independent of: the SIMD vs scalar code path
-/// (8 independent chains ride the AVX2 lanes, each still ascending in k),
-/// panel packing, register-tile grouping, pool chunk boundaries, thread
-/// count, and whether a row ran solo or inside a larger batch — which is
-/// what the serving layer's coalescing byte-identity promise rests on.
-/// When beta == 0, C may be uninitialized (it is never read).
+/// fixed, the bytes of C are independent of: the microkernel's ISA (16
+/// independent chains ride one zmm or two ymm vectors, each still ascending
+/// in k), its tile height, panel packing, the vector width of the
+/// epilogue, pool chunk boundaries, thread count, and whether a row ran
+/// solo or inside a larger batch — which is what the serving layer's
+/// coalescing byte-identity promise rests on. The epilogue's bytes also
+/// rest on the build's fp-contraction: CMakeLists.txt passes GCC
+/// -ffp-contract=fast explicitly, because GeluFast's products fused into
+/// fmas round differently from unfused ones. When beta == 0, C may be
+/// uninitialized (it is never read).
 ///
 /// C must not alias A or B. A and B may alias each other (both are
 /// read-only). Zero-size problems (m, n, or k == 0) are handled: m*n
@@ -45,8 +49,8 @@ enum class GemmActivation { kNone, kGeluFast };
 /// row blocks with a cost-derived grain (runtime AutoGrain); small problems
 /// run the direct loop inline on the caller. The split depends only on the
 /// problem shape, never the thread count. The packed path repacks B into a
-/// thread_local buffer on every call; a B that does not change between
-/// calls (an inference weight) can be packed once into a PackedB instead.
+/// buffer of its own on every call; a B that does not change between calls
+/// (an inference weight) can be packed once into a PackedB instead.
 void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
           const float* a, int lda, const float* b, int ldb, float beta,
           float* c, int ldc, const float* bias = nullptr,
@@ -87,9 +91,13 @@ void GemmRef(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
              float* c, int ldc, const float* bias = nullptr,
              GemmActivation act = GemmActivation::kNone);
 
-/// True when this build dispatched the AVX2+FMA microkernel at compile
-/// time; false on the portable scalar fallback (identical results either
-/// way — this is informational, for benches and test logs).
+/// The microkernel this build compiled: "avx512", "avx2" or "scalar" (the
+/// best the target allows, capped by CMake's SILOFUSE_GEMM_ISA). Results
+/// are identical on every one; this is informational, for test logs.
+const char* GemmIsa();
+
+/// True when GemmIsa() is a SIMD microkernel (AVX-512 or AVX2+FMA); false
+/// on the portable scalar fallback. Informational, for benches.
 bool GemmUsesSimd();
 
 namespace gemm_detail {

@@ -20,7 +20,7 @@ TEST(ChannelTest, RecordsBytesMessagesRounds) {
   channel.BeginRound();
   const int64_t bytes = channel.SendMatrix("client_0", "coordinator", m, "latents");
   EXPECT_EQ(bytes, MatrixWireBytes(m));
-  channel.Send("coordinator", "client_0", 100, "misc");
+  channel.Send(100, "misc");
   EXPECT_EQ(channel.total_bytes(), bytes + 100);
   EXPECT_EQ(channel.message_count(), 2);
   EXPECT_EQ(channel.rounds(), 1);
@@ -40,7 +40,7 @@ TEST(ChannelTest, MatrixWireBytesScalesWithPayload) {
 TEST(ChannelTest, ResetClearsEverything) {
   Channel channel;
   channel.BeginRound();
-  channel.Send("a", "b", 10, "x");
+  channel.Send(10, "x");
   channel.Reset();
   EXPECT_EQ(channel.total_bytes(), 0);
   EXPECT_EQ(channel.message_count(), 0);
@@ -55,7 +55,7 @@ TEST(ChannelTest, ResetClearsEverything) {
 TEST(ChannelTest, ResetWalksBackItsOwnObsCounters) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   Channel other;  // concurrent traffic that Reset() must not disturb
-  other.Send("x", "y", 64, "latents");
+  other.Send(64, "latents");
 
   const int64_t bytes_before = registry.GetCounter("channel.bytes")->Value();
   const int64_t tag_before =
@@ -70,8 +70,8 @@ TEST(ChannelTest, ResetWalksBackItsOwnObsCounters) {
 
   Channel channel;
   channel.BeginRound();
-  channel.Send("a", "b", 10, "latents");
-  channel.Send("a", "b", 7, "misc");
+  channel.Send(10, "latents");
+  channel.Send(7, "misc");
   channel.RecordRetry(10);
   channel.Reset();
 
@@ -89,7 +89,7 @@ TEST(ChannelTest, ResetWalksBackItsOwnObsCounters) {
 TEST(ChannelTest, ResetClearsReliabilitySubtotals) {
   Channel channel;
   channel.BeginRound();
-  channel.Send("a", "b", 10, "x");
+  channel.Send(10, "x");
   channel.RecordRetry(10);
   channel.RecordRedelivered(10);
   EXPECT_EQ(channel.retries(), 1);
@@ -164,7 +164,7 @@ TEST(DegradedModeTest, SchemaAndPartitionStayConsistentAfterSiloDrop) {
 
 TEST(ChannelTest, SummaryMentionsTags) {
   Channel channel;
-  channel.Send("a", "b", 10, "latents");
+  channel.Send(10, "latents");
   EXPECT_NE(channel.Summary().find("latents"), std::string::npos);
 }
 

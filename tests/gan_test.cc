@@ -111,6 +111,32 @@ TEST_P(GanBackboneSweep, SynthesizedNumericsWithinTrainingRange) {
   }
 }
 
+// Fit seals both networks, which drops every parameter's grad (the linear
+// backbone's LayerNorms and the conv backbone's conv layers included); the
+// next TrainStep's training forwards re-create them.
+TEST_P(GanBackboneSweep, FitReleasesEveryGrad) {
+  Rng rng(5);
+  Table data = GeneratePaperDataset("loan", 200, 5).Value();
+  GanConfig config;
+  config.backbone = GetParam();
+  config.hidden_dim = 32;
+  config.train_steps = 5;
+  config.batch_size = 64;
+  GanSynthesizer gan(config);
+  ASSERT_TRUE(gan.Fit(data, &rng).ok());
+  const std::vector<Parameter*> params = gan.Parameters();
+  ASSERT_FALSE(params.empty());
+  for (const Parameter* p : params) {
+    EXPECT_EQ(p->grad.size(), 0u) << p->name;
+  }
+  MixedEncoder encoder(NumericScaling::kMinMax);
+  ASSERT_TRUE(encoder.Fit(data).ok());
+  gan.TrainStep(encoder.Encode(data).SliceRows(0, 64), &rng);
+  for (const Parameter* p : params) {
+    EXPECT_EQ(p->grad.size(), p->value.size()) << p->name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Backbones, GanBackboneSweep,
                          ::testing::Values(GanBackbone::kLinear,
                                            GanBackbone::kConv));

@@ -109,12 +109,13 @@ std::vector<float> CheckAllPathsAgree(const GemmProblem& p, Rng* rng) {
   return c_ref;
 }
 
-// Shapes chosen to hit every remainder-panel case of the 6x16 register
-// tile: exact multiples, one-off remainders, primes, degenerate rows/cols,
-// and sizes big enough to cross the pack-and-parallelize threshold.
+// Shapes chosen to hit every remainder case of the register tile (6 x 16
+// on the AVX2 and scalar paths, 8 x 16 with AVX-512): exact multiples,
+// one-off remainders, primes, degenerate rows/cols, sizes big enough to
+// cross the pack-and-parallelize threshold, and the shapes serving runs.
 const GemmProblem kShapeCases[] = {
     {1, 1, 1, false, false, 1.0f, 0.0f, false},
-    {6, 16, 8, false, false, 1.0f, 0.0f, false},    // exactly one tile
+    {6, 16, 8, false, false, 1.0f, 0.0f, false},    // exactly one 6-row tile
     {12, 32, 16, false, false, 1.0f, 0.0f, false},  // tile multiples
     {7, 17, 9, false, false, 1.0f, 0.0f, false},    // one past a tile
     {5, 15, 3, false, false, 1.0f, 0.0f, false},    // under one tile
@@ -126,6 +127,26 @@ const GemmProblem kShapeCases[] = {
     {64, 257, 16, false, false, 1.0f, 0.0f, false},
     {128, 64, 33, false, false, 1.0f, 0.0f, false},
     {251, 63, 65, false, false, 1.0f, 0.0f, false},
+    // Every row remainder of an 8-row tile, around one, two and eight tiles.
+    {4, 33, 20, false, false, 1.0f, 0.0f, true},
+    {7, 33, 20, false, false, 1.0f, 0.0f, true},
+    {8, 33, 20, false, false, 1.0f, 0.0f, true},
+    {9, 33, 20, false, false, 1.0f, 0.0f, true},
+    {15, 33, 20, false, false, 1.0f, 0.0f, true},
+    {16, 33, 20, false, false, 1.0f, 0.0f, true},
+    {17, 33, 20, false, false, 1.0f, 0.0f, true},
+    {63, 33, 20, false, false, 1.0f, 0.0f, true},
+    {64, 33, 20, false, false, 1.0f, 0.0f, true},
+    {65, 33, 20, false, false, 1.0f, 0.0f, true},
+    // Served shapes: a 256-wide hidden layer with bias and fused GELU, a
+    // narrow output layer and a data-width skip layer, at m = 4 (a small
+    // request) and m = 64 (one sampling tile).
+    {4, 256, 256, false, false, 1.0f, 0.0f, true, GemmActivation::kGeluFast},
+    {64, 256, 256, false, false, 1.0f, 0.0f, true, GemmActivation::kGeluFast},
+    {4, 8, 256, false, false, 1.0f, 0.0f, true},
+    {64, 8, 256, false, false, 1.0f, 0.0f, true},
+    {4, 14, 14, false, false, 1.0f, 0.0f, true},
+    {64, 14, 14, false, false, 1.0f, 0.0f, true},
 };
 
 class GemmShapeTest : public ::testing::TestWithParam<GemmProblem> {};
@@ -145,7 +166,12 @@ TEST_P(GemmShapeTest, AllTransposeVariantsMatchReference) {
 INSTANTIATE_TEST_SUITE_P(RemainderPanels, GemmShapeTest,
                          ::testing::ValuesIn(kShapeCases));
 
+// alpha != 1 with a bias is where a vectorized epilogue would let the
+// compiler fuse alpha * acc + bias[j] into one fma (one rounding where the
+// contract has two); the kernel keeps those alphas on the per-element path.
+// The test also records which microkernel (GemmIsa) the binary ran.
 TEST(GemmKernelTest, AlphaBetaBiasActivationCombos) {
+  RecordProperty("gemm_isa", GemmIsa());
   Rng rng(77);
   const float alphas[] = {1.0f, -0.5f, 2.25f};
   const float betas[] = {0.0f, 1.0f, -1.5f};

@@ -325,10 +325,9 @@ TEST_F(ObsChannelTest, ConcurrentSendsRecordEveryMessage) {
   constexpr int kSends = 500;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&channel, t] {
-      const std::string party = "client_" + std::to_string(t);
+    threads.emplace_back([&channel] {
       for (int i = 0; i < kSends; ++i) {
-        channel.Send(party, "server", /*bytes=*/16, "stress");
+        channel.Send(/*bytes=*/16, "stress");
       }
     });
   }
@@ -389,10 +388,10 @@ TEST_F(ObsChannelTest, RoundWallTimeIsDeterministicOnVirtualClock) {
   channel.SetClock(&clock);
   channel.BeginRound();
   clock.SleepFor(15'000'000);  // 15ms of virtual time
-  channel.Send("client_0", "server", /*bytes=*/64, "t");
+  channel.Send(/*bytes=*/64, "t");
   channel.BeginRound();  // closes round 1 at the virtual 15ms mark
   clock.SleepFor(40'000'000);
-  channel.Send("server", "client_0", /*bytes=*/64, "t");
+  channel.Send(/*bytes=*/64, "t");
   const std::vector<ChannelRound> rounds = channel.RoundLog();
   ASSERT_EQ(rounds.size(), 2u);
   EXPECT_DOUBLE_EQ(rounds[0].wall_ms, 15.0);
