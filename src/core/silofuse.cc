@@ -104,9 +104,9 @@ Status SiloFuse::FitPartitioned(std::vector<Table> parts,
   }
 
   // --- Lines 8-10: the single communication round — latents to the
-  // coordinator, Z = Z_1 || ... || Z_M. With a fault plan installed the
-  // round runs over checksummed retrying transfers; a silo whose upload
-  // permanently fails is dropped when K-of-M degradation is configured.
+  // coordinator, Z = Z_1 || ... || Z_M, over checksummed retrying
+  // transfers. A silo whose upload permanently fails (only possible under
+  // a fault plan) is dropped when K-of-M degradation is configured.
   degraded_silos_.clear();
   FaultyChannel wire(&channel_, options_.fault.plan);
   ReliableTransfer transfer(&wire, options_.fault.retry, options_.fault.clock);
@@ -123,15 +123,6 @@ Status SiloFuse::FitPartitioned(std::vector<Table> parts,
     obs::TraceContext silo_ctx = round_ctx;
     silo_ctx.silo_id = static_cast<int32_t>(i);
     obs::ScopedTraceContext silo_scope(silo_ctx);
-    if (!options_.fault.active()) {
-      Matrix z_i = client->ComputeLatents();
-      channel_.SendMatrix(client->party_name(), "coordinator", z_i,
-                          "training_latents");
-      latents.push_back(std::move(z_i));
-      survivors.push_back(std::move(clients_[i]));
-      surviving_partition.push_back(partition_[i]);
-      continue;
-    }
     Result<Matrix> delivered = client->UploadLatents(&transfer);
     if (delivered.ok()) {
       latents.push_back(std::move(delivered).Value());
@@ -264,12 +255,6 @@ Result<std::vector<Table>> SiloFuse::SynthesizePartitioned(
     obs::ScopedTraceContext silo_scope(silo_ctx);
     Matrix z_i = z.SliceCols(offset, client->latent_dim());
     offset += client->latent_dim();
-    if (!options_.fault.active()) {
-      channel_.SendMatrix("coordinator", client->party_name(), z_i,
-                          "synthetic_latents");
-      outputs.push_back(client->Decode(z_i, rng, /*sample=*/true));
-      continue;
-    }
     Result<Matrix> delivered =
         coordinator_->ShipLatentSlice(&transfer, client->party_name(), z_i);
     if (!delivered.ok()) {

@@ -26,10 +26,10 @@ struct SiloFuseOptions {
   PartitionConfig partition;  // paper default: 4 clients, no permutation
   /// Minimum per-client hidden width after the split.
   int min_client_hidden = 16;
-  /// Fault injection + reliable transfer (fault.h). A null plan keeps the
-  /// original perfect in-process wire; with a plan set, every cross-silo
+  /// Fault injection + reliable transfer (fault.h). Every cross-silo
   /// matrix transfer runs through checksummed delivery with bounded retry,
-  /// exponential backoff, and per-attempt timeouts.
+  /// exponential backoff, and per-attempt timeouts; a null plan injects no
+  /// faults, so each transfer is delivered on its first attempt.
   FaultInjection fault;
   /// K-of-M degraded mode: minimum number of silos whose latent upload must
   /// succeed for training to proceed (failed silos are dropped and the

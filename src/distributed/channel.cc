@@ -5,7 +5,6 @@
 
 #include "common/clock.h"
 #include "obs/metrics.h"
-#include "obs/trace_context.h"
 
 namespace silofuse {
 
@@ -38,34 +37,6 @@ void Channel::SetClock(Clock* clock) {
 
 int64_t Channel::RoundNowNsLocked() const {
   return clock_ != nullptr ? clock_->NowNs() : MonotonicNs();
-}
-
-int64_t Channel::SendMatrix(const std::string& from, const std::string& to,
-                            const Matrix& payload, const std::string& tag) {
-  const int64_t bytes = MatrixWireBytes(payload);
-  if (!obs::TraceEnabled()) {
-    Send(bytes, tag);
-    return bytes;
-  }
-  // The perfect wire delivers synchronously, so both halves of the transfer
-  // are known here: a send span on the sender's track emitting the flow
-  // start, and a receive span on the receiver's track closing it. The
-  // viewer draws the arrow between the two party timelines.
-  obs::TraceContext ctx = obs::CurrentTraceContext();
-  ctx.tag = obs::InternTraceString(tag);
-  const char* from_party = obs::InternTraceString(from);
-  const char* to_party = obs::InternTraceString(to);
-  const uint64_t flow_id = obs::NextFlowId();
-  {
-    obs::ContextSpan send_span("channel.send", from_party, ctx);
-    obs::RecordTransferFlow("transfer", flow_id, /*start=*/true, from_party);
-    Send(bytes, tag);
-  }
-  {
-    obs::ContextSpan recv_span("channel.recv", to_party, ctx);
-    obs::RecordTransferFlow("transfer", flow_id, /*start=*/false, to_party);
-  }
-  return bytes;
 }
 
 obs::Counter* Channel::TagCounterLocked(const std::string& tag) {

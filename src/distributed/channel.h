@@ -37,8 +37,9 @@ struct ChannelRound {
 /// (shape + ids), matching what a real wire format would ship.
 int64_t MatrixWireBytes(const Matrix& m);
 
-/// In-process stand-in for the cross-silo network. Every transfer between a
-/// client and the coordinator is counted so the communication experiments
+/// Byte meter of the in-process cross-silo network. It moves nothing:
+/// matrices cross between parties through ReliableTransfer (fault.h), which
+/// meters every delivery attempt here, so the communication experiments
 /// (Fig. 10) can compare stacked vs end-to-end training byte-for-byte.
 ///
 /// Recording is thread-safe: concurrent clients may Send while another
@@ -54,10 +55,6 @@ class Channel {
   /// the real monotonic clock). With a VirtualClock, RoundLog wall_ms
   /// becomes fully deterministic in tests.
   void SetClock(Clock* clock);
-
-  /// Records a matrix transfer and returns its byte size.
-  int64_t SendMatrix(const std::string& from, const std::string& to,
-                     const Matrix& payload, const std::string& tag);
 
   /// Records an arbitrary payload: its bytes, under `tag`, in the totals
   /// and the open round.

@@ -11,23 +11,19 @@
 
 namespace silofuse {
 
+void E2EDistrSynthesizer::set_fault(const FaultInjection& fault) {
+  channel_.SetClock(fault.clock);
+  wire_ = FaultyChannel(&channel_, fault.plan);
+  transfer_ = ReliableTransfer(&wire_, fault.retry, fault.clock);
+}
+
 Status E2EDistrSynthesizer::Fit(const Table& data, Rng* rng) {
   if (data.num_rows() < 2) {
     return Status::InvalidArgument("E2EDistr needs at least 2 rows");
   }
   channel_.Reset();
-  channel_.SetClock(fault_.clock);
   trace_run_id_ = obs::NextTraceRunId();
   trace_round_ = 0;
-  if (fault_.active()) {
-    wire_ = std::make_unique<FaultyChannel>(&channel_, fault_.plan);
-    transfer_ =
-        std::make_unique<ReliableTransfer>(wire_.get(), fault_.retry,
-                                           fault_.clock);
-  } else {
-    transfer_.reset();
-    wire_.reset();
-  }
   SF_ASSIGN_OR_RETURN(partition_,
                       PartitionColumns(data.num_columns(), partition_config_));
   clients_.clear();
@@ -116,21 +112,7 @@ Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
   obs::ScopedTraceContext round_scope(round_ctx);
   obs::ContextSpan round_span("e2e_distr.round");
   const int batch = static_cast<int>(batch_rows.size());
-  if (wire_ != nullptr) {
-    wire_->BeginRound();
-  } else {
-    channel_.BeginRound();
-  }
-  // Routes one matrix exchange through the reliable transfer when fault
-  // injection is active, else over the original perfect wire.
-  auto ship = [&](const std::string& from, const std::string& to,
-                  const Matrix& m, const char* tag) -> Result<Matrix> {
-    if (transfer_ == nullptr) {
-      channel_.SendMatrix(from, to, m, tag);
-      return m;
-    }
-    return transfer_->SendMatrix(from, to, m, tag);
-  };
+  wire_.BeginRound();
 
   // Forward 1/2: clients encode and ship activations (latents).
   std::vector<Matrix> z_parts;
@@ -138,8 +120,9 @@ Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
   for (size_t i = 0; i < clients_.size(); ++i) {
     Matrix x_i = client_inputs_[i].GatherRows(batch_rows);
     Matrix z_i = clients_[i]->autoencoder()->EncoderForward(x_i, rng);
-    SF_ASSIGN_OR_RETURN(z_i, ship(clients_[i]->party_name(), "coordinator",
-                                  z_i, "forward_activations"));
+    SF_ASSIGN_OR_RETURN(z_i, transfer_.SendMatrix(clients_[i]->party_name(),
+                                                  "coordinator", z_i,
+                                                  "forward_activations"));
     z_parts.push_back(std::move(z_i));
   }
   Matrix z = Matrix::ConcatCols(z_parts);
@@ -162,8 +145,9 @@ Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
     const int s_i = clients_[i]->latent_dim();
     Matrix z0_hat_i = z0_hat.SliceCols(offset, s_i);
     SF_ASSIGN_OR_RETURN(z0_hat_i,
-                        ship("coordinator", clients_[i]->party_name(),
-                             z0_hat_i, "denoised_latents"));
+                        transfer_.SendMatrix("coordinator",
+                                             clients_[i]->party_name(),
+                                             z0_hat_i, "denoised_latents"));
     // Client-side decode + head loss + decoder backward.
     TabularAutoencoder* ae = clients_[i]->autoencoder();
     Matrix x_i = client_inputs_[i].GatherRows(batch_rows);
@@ -172,8 +156,9 @@ Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
     recon_loss += ae->HeadLoss(heads, x_i, &grad_heads);
     Matrix grad_z0_i = ae->DecoderBackward(grad_heads);
     SF_ASSIGN_OR_RETURN(grad_z0_i,
-                        ship(clients_[i]->party_name(), "coordinator",
-                             grad_z0_i, "backward_gradients"));
+                        transfer_.SendMatrix(clients_[i]->party_name(),
+                                             "coordinator", grad_z0_i,
+                                             "backward_gradients"));
     for (int r = 0; r < batch; ++r) {
       const float* src = grad_z0_i.row_data(r);
       float* dst = grad_pred.row_data(r) + offset;
@@ -205,8 +190,9 @@ Result<std::pair<double, double>> E2EDistrSynthesizer::TrainIteration(
       for (int c = 0; c < s_i; ++c) dst[c] = s0 * src[c] - mse[c];
     }
     SF_ASSIGN_OR_RETURN(grad_z_i,
-                        ship("coordinator", clients_[i]->party_name(),
-                             grad_z_i, "backward_gradients"));
+                        transfer_.SendMatrix("coordinator",
+                                             clients_[i]->party_name(),
+                                             grad_z_i, "backward_gradients"));
     clients_[i]->autoencoder()->EncoderBackward(grad_z_i);
     offset += s_i;
   }
@@ -226,25 +212,16 @@ Result<Table> E2EDistrSynthesizer::Synthesize(int num_rows, Rng* rng) {
   obs::ContextSpan synth_span("e2e_distr.synthesize");
   Matrix z = backbone_->Sample(num_rows, config_.inference_steps, rng,
                                config_.sampling_eta);
-  if (wire_ != nullptr) {
-    wire_->BeginRound();
-  } else {
-    channel_.BeginRound();
-  }
+  wire_.BeginRound();
   std::vector<Table> parts;
   parts.reserve(clients_.size());
   int offset = 0;
   for (auto& client : clients_) {
     Matrix z_i = z.SliceCols(offset, client->latent_dim());
     offset += client->latent_dim();
-    if (transfer_ != nullptr) {
-      SF_ASSIGN_OR_RETURN(z_i, transfer_->SendMatrix("coordinator",
-                                                     client->party_name(), z_i,
-                                                     "synthetic_latents"));
-    } else {
-      channel_.SendMatrix("coordinator", client->party_name(), z_i,
-                          "synthetic_latents");
-    }
+    SF_ASSIGN_OR_RETURN(z_i, transfer_.SendMatrix("coordinator",
+                                                  client->party_name(), z_i,
+                                                  "synthetic_latents"));
     parts.push_back(client->Decode(z_i, rng, /*sample=*/true));
   }
   return ReassembleColumns(parts, partition_);

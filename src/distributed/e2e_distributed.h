@@ -33,8 +33,8 @@ class E2EDistrSynthesizer : public Synthesizer {
   /// One joint iteration over a shared batch-row selection; returns
   /// (reconstruction, diffusion) losses. Every call performs one
   /// communication round: activations up, denoised slices down, head
-  /// gradients up, latent gradients down. Under an installed fault plan the
-  /// exchanges run over reliable transfers; exhausted retries or a silo
+  /// gradients up, latent gradients down. Every exchange is a reliable
+  /// transfer; under an installed fault plan, exhausted retries or a silo
   /// vanishing mid-training surface as kUnavailable (split-learning model
   /// parallelism cannot degrade to K-of-M — every slice is load-bearing).
   /// Fit seals every network and drops the optimizer when training ends; a
@@ -44,7 +44,7 @@ class E2EDistrSynthesizer : public Synthesizer {
 
   /// Installs fault injection + reliability settings; call before Fit. The
   /// plan and clock are borrowed and must outlive this synthesizer.
-  void set_fault(const FaultInjection& fault) { fault_ = fault; }
+  void set_fault(const FaultInjection& fault);
 
   const Channel& channel() const { return channel_; }
   Channel* mutable_channel() { return &channel_; }
@@ -65,9 +65,8 @@ class E2EDistrSynthesizer : public Synthesizer {
   std::unique_ptr<GaussianDdpm> backbone_;
   std::unique_ptr<Adam> joint_optimizer_;  // created by TrainIteration
   Channel channel_;
-  FaultInjection fault_;
-  std::unique_ptr<FaultyChannel> wire_;         // set when fault_ is active
-  std::unique_ptr<ReliableTransfer> transfer_;  // ditto
+  FaultyChannel wire_{&channel_};  // no fault plan until set_fault
+  ReliableTransfer transfer_{&wire_};
   int64_t bytes_per_round_ = 0;
   uint32_t trace_run_id_ = 0;
   int32_t trace_round_ = 0;  // 1-based communication round within the run

@@ -1,6 +1,7 @@
 #include "distributed/fault.h"
 
 #include <cstring>
+#include <limits>
 
 #include "obs/metrics.h"
 
@@ -95,11 +96,14 @@ Result<Matrix> DecodeMatrixFrame(const std::vector<uint8_t>& frame,
   const int64_t rows = GetLe<uint32_t>(frame, 4);
   const int64_t cols = GetLe<uint32_t>(frame, 8);
   const uint64_t seq = GetLe<uint32_t>(frame, 12);
-  const int64_t payload = rows * cols * static_cast<int64_t>(sizeof(float));
-  if (rows > (1ll << 31) || cols > (1ll << 31) ||
-      static_cast<int64_t>(frame.size()) !=
-          static_cast<int64_t>(kFrameHeaderBytes + kFrameChecksumBytes) +
-              payload) {
+  const int64_t payload = static_cast<int64_t>(
+      frame.size() - kFrameHeaderBytes - kFrameChecksumBytes);
+  constexpr int64_t kFloatBytes = sizeof(float);
+  // Matrix dimensions are ints. Rejecting larger ones first also bounds
+  // rows * cols below 2^62, so the shape check cannot overflow.
+  if (rows > std::numeric_limits<int>::max() ||
+      cols > std::numeric_limits<int>::max() || payload % kFloatBytes != 0 ||
+      rows * cols != payload / kFloatBytes) {
     return Status::IOError("matrix frame size does not match its shape");
   }
   const uint64_t expected =
@@ -216,16 +220,12 @@ FaultDecision FaultPlan::Decide(const std::string& from, const std::string& to,
 Status FaultyChannel::TryDeliver(const std::string& from, const std::string& to,
                                  const std::vector<uint8_t>& frame,
                                  const std::string& tag,
-                                 std::vector<uint8_t>* delivered,
+                                 std::vector<uint8_t>* corrupted,
                                  int64_t* delay_ms) {
   *delay_ms = 0;
   const int64_t bytes = static_cast<int64_t>(frame.size());
-  if (plan_ == nullptr) {
-    inner_->Send(bytes, tag);
-    *delivered = frame;
-    return Status::OK();
-  }
-  FaultDecision d = plan_->Decide(from, to, tag);
+  const FaultDecision d =
+      plan_ != nullptr ? plan_->Decide(from, to, tag) : FaultDecision{};
   switch (d.action) {
     case FaultAction::kSiloDown:
       // The party vanished: nothing reaches the wire.
@@ -238,9 +238,9 @@ Status FaultyChannel::TryDeliver(const std::string& from, const std::string& to,
                                  " -> " + to + ")");
     case FaultAction::kCorrupt: {
       inner_->Send(bytes, tag);
-      *delivered = frame;
+      *corrupted = frame;
       const size_t pos = static_cast<size_t>(d.corrupt_seed % frame.size());
-      (*delivered)[pos] ^= 0xFF;  // never a no-op flip
+      (*corrupted)[pos] ^= 0xFF;  // never a no-op flip
       return Status::OK();
     }
     case FaultAction::kDuplicate:
@@ -249,16 +249,13 @@ Status FaultyChannel::TryDeliver(const std::string& from, const std::string& to,
       inner_->Send(bytes, tag);
       inner_->RecordRedelivered(bytes);
       DuplicateCounter()->Increment();
-      *delivered = frame;
       return Status::OK();
     case FaultAction::kDelay:
       inner_->Send(bytes, tag);
-      *delivered = frame;
       *delay_ms = d.delay_ms;
       return Status::OK();
     case FaultAction::kDeliver:
       inner_->Send(bytes, tag);
-      *delivered = frame;
       return Status::OK();
   }
   return Status::Internal("unhandled fault action");
@@ -301,10 +298,10 @@ Result<Matrix> ReliableTransfer::SendMatrix(const std::string& from,
       return Status::FailedPrecondition("silo down: cannot deliver '" + tag +
                                         "' from " + from + " to " + to);
     }
-    std::vector<uint8_t> delivered;
+    std::vector<uint8_t> corrupted;
     int64_t delay_ms = 0;
     SF_RETURN_NOT_OK(
-        channel_->TryDeliver(from, to, frame, tag, &delivered, &delay_ms));
+        channel_->TryDeliver(from, to, frame, tag, &corrupted, &delay_ms));
     if (delay_ms > 0) {
       clock_->SleepFor(delay_ms * 1'000'000);
       if (policy_.attempt_timeout_ms > 0 &&
@@ -318,7 +315,8 @@ Result<Matrix> ReliableTransfer::SendMatrix(const std::string& from,
     }
     uint64_t got_seq = 0;
     obs::TraceContext wire_ctx;
-    Result<Matrix> decoded = DecodeMatrixFrame(delivered, &got_seq, &wire_ctx);
+    Result<Matrix> decoded = DecodeMatrixFrame(
+        corrupted.empty() ? frame : corrupted, &got_seq, &wire_ctx);
     if (!decoded.ok()) {
       CorruptCounter()->Increment();
       return Status::Unavailable("integrity check failed on '" + tag +

@@ -129,7 +129,8 @@ class FaultPlan {
 /// Decorates a byte-metering Channel with a FaultPlan: every delivery
 /// attempt is metered on the inner channel (dropped, corrupted, and
 /// duplicated frames consumed wire bandwidth too) and then subjected to the
-/// plan's verdict. A null plan makes the decorator transparent.
+/// plan's verdict. A null plan makes the decorator transparent: every
+/// attempt is a plain delivery.
 ///
 /// Global fault counters ("channel.dropped", "channel.duplicates") are
 /// process-lifetime obs metrics owned by this layer; see Channel::Reset for
@@ -140,12 +141,14 @@ class FaultyChannel {
       : inner_(inner), plan_(plan) {}
 
   /// One delivery attempt of `frame`. On transport success returns OK and
-  /// fills *delivered with what the receiver saw (possibly a corrupted
-  /// copy) and *delay_ms with injected latency the caller must account for.
-  /// Drops and down silos return kUnavailable.
+  /// sets *delay_ms to injected latency the caller must account for. The
+  /// receiver saw `frame` itself, except on a corrupting verdict: then
+  /// *corrupted receives the damaged copy it saw (otherwise it is left
+  /// untouched, so a clean delivery copies nothing). Drops and down silos
+  /// return kUnavailable.
   Status TryDeliver(const std::string& from, const std::string& to,
                     const std::vector<uint8_t>& frame, const std::string& tag,
-                    std::vector<uint8_t>* delivered, int64_t* delay_ms);
+                    std::vector<uint8_t>* corrupted, int64_t* delay_ms);
 
   /// True when the plan has `party` scripted down right now (permanent for
   /// the round — retrying cannot help).
@@ -156,7 +159,6 @@ class FaultyChannel {
   void BeginRound();
 
   Channel* inner() { return inner_; }
-  const FaultPlan* plan() const { return plan_; }
 
  private:
   Channel* inner_;
@@ -202,15 +204,13 @@ class ReliableTransfer {
 };
 
 /// Bundle threaded through SiloFuse / E2EDistr options: a borrowed fault
-/// plan (null = perfect wire, original fast path), the retry contract, and
-/// the clock backoff sleeps run on (null = real time; tests pass a
-/// VirtualClock).
+/// plan (null = no faults: the same transfers run over a transparent
+/// FaultyChannel), the retry contract, and the clock backoff sleeps run on
+/// (null = real time; tests pass a VirtualClock).
 struct FaultInjection {
   FaultPlan* plan = nullptr;
   RetryPolicy retry;
   Clock* clock = nullptr;
-
-  bool active() const { return plan != nullptr; }
 };
 
 }  // namespace silofuse

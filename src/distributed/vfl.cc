@@ -33,6 +33,8 @@ Result<std::unique_ptr<VflClassifier>> VflClassifier::Create(
   model->config_ = config;
   model->num_classes_ = num_classes;
   for (const Table& p : parts) {
+    model->party_names_.push_back("client_" +
+                                  std::to_string(model->encoders_.size()));
     model->client_schemas_.push_back(p.schema());
     MixedEncoder encoder;
     SF_RETURN_NOT_OK(encoder.Fit(p));
@@ -114,13 +116,16 @@ Result<double> VflClassifier::Train(const std::vector<Table>& parts,
     SF_TRACE_SPAN("vfl.round");
     const std::vector<int> idx = SampleBatchIndices(
         rows, std::min(config_.batch_size, rows), rng);
-    channel_.BeginRound();
+    wire_.BeginRound();
     // Clients encode and ship embeddings.
     std::vector<Matrix> embeddings(encoders_.size());
     for (size_t i = 0; i < encoders_.size(); ++i) {
-      embeddings[i] = encoders_[i]->Forward(encoded[i].GatherRows(idx), rng);
-      channel_.SendMatrix("client_" + std::to_string(i), "server",
-                          embeddings[i], "vfl_embeddings");
+      SF_ASSIGN_OR_RETURN(
+          embeddings[i],
+          transfer_.SendMatrix(
+              party_names_[i], "server",
+              encoders_[i]->Forward(encoded[i].GatherRows(idx), rng),
+              "vfl_embeddings"));
     }
     Matrix joint = Matrix::ConcatCols(embeddings);
     Matrix logits = server_head_.Forward(joint, rng);
@@ -133,9 +138,12 @@ Result<double> VflClassifier::Train(const std::vector<Table>& parts,
     Matrix grad_joint = server_head_.Backward(grad);
     // Server ships each client its embedding gradient slice.
     for (size_t i = 0; i < encoders_.size(); ++i) {
-      Matrix grad_i = grad_joint.SliceCols(static_cast<int>(i) * e_dim, e_dim);
-      channel_.SendMatrix("server", "client_" + std::to_string(i), grad_i,
-                          "vfl_gradients");
+      SF_ASSIGN_OR_RETURN(
+          const Matrix grad_i,
+          transfer_.SendMatrix(
+              "server", party_names_[i],
+              grad_joint.SliceCols(static_cast<int>(i) * e_dim, e_dim),
+              "vfl_gradients"));
       encoders_[i]->Backward(grad_i);
     }
     optimizer_->ClipGradNorm(config_.grad_clip);
@@ -150,12 +158,15 @@ Result<double> VflClassifier::Train(const std::vector<Table>& parts,
 Result<Matrix> VflClassifier::PredictProba(const std::vector<Table>& parts) {
   SF_TRACE_SPAN("vfl.predict");
   SF_ASSIGN_OR_RETURN(std::vector<Matrix> encoded, EncodeParts(parts));
-  channel_.BeginRound();
+  wire_.BeginRound();
   std::vector<Matrix> embeddings(encoders_.size());
   for (size_t i = 0; i < encoders_.size(); ++i) {
-    embeddings[i] = encoders_[i]->Forward(encoded[i], /*train_rng=*/nullptr);
-    channel_.SendMatrix("client_" + std::to_string(i), "server",
-                        embeddings[i], "vfl_embeddings");
+    SF_ASSIGN_OR_RETURN(
+        embeddings[i],
+        transfer_.SendMatrix(
+            party_names_[i], "server",
+            encoders_[i]->Forward(encoded[i], /*train_rng=*/nullptr),
+            "vfl_embeddings"));
   }
   Matrix logits = server_head_.Forward(Matrix::ConcatCols(embeddings), nullptr);
   return SoftmaxRows(logits);

@@ -2,12 +2,14 @@
 #define SILOFUSE_DISTRIBUTED_VFL_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "data/mixed_encoder.h"
 #include "distributed/channel.h"
+#include "distributed/fault.h"
 #include "nn/optimizer.h"
 #include "nn/sequential.h"
 
@@ -74,7 +76,10 @@ class VflClassifier {
   std::vector<std::unique_ptr<Sequential>> encoders_;  // client towers
   Sequential server_head_;
   std::unique_ptr<Adam> optimizer_;  // created by Train
+  std::vector<std::string> party_names_;  // "client_<i>", one per tower
   Channel channel_;
+  FaultyChannel wire_{&channel_};  // no fault plan: a transparent wire
+  ReliableTransfer transfer_{&wire_};
 };
 
 }  // namespace silofuse

@@ -90,9 +90,7 @@ ProfileReport BuildProfile(const std::vector<TraceEvent>& events) {
         accum.min_start_ns = std::min(accum.min_start_ns, e.start_ns);
         accum.max_end_ns = std::max(accum.max_end_ns, end_ns);
       }
-      if (e.name == "transfer.attempt" || e.name == "channel.send") {
-        ++accum.transfer_attempts;
-      }
+      if (e.name == "transfer.attempt") ++accum.transfer_attempts;
       if (e.name == "transfer.backoff") ++accum.retries;
       accum.excl_by_phase[{party, e.name}] += exclusive[i];
     }

@@ -18,8 +18,8 @@ TEST(ChannelTest, RecordsBytesMessagesRounds) {
   Channel channel;
   Matrix m(10, 4);
   channel.BeginRound();
-  const int64_t bytes = channel.SendMatrix("client_0", "coordinator", m, "latents");
-  EXPECT_EQ(bytes, MatrixWireBytes(m));
+  const int64_t bytes = MatrixWireBytes(m);
+  channel.Send(bytes, "latents");
   channel.Send(100, "misc");
   EXPECT_EQ(channel.total_bytes(), bytes + 100);
   EXPECT_EQ(channel.message_count(), 2);

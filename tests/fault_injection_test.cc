@@ -114,6 +114,29 @@ TEST(FramingTest, RejectsTruncatedAndForeignFrames) {
   EXPECT_FALSE(DecodeMatrixFrame(frame).ok());
 }
 
+TEST(FramingTest, RejectsChecksummedHeaderWithDimensionAboveIntMax) {
+  // Empty, correctly checksummed frames whose header claims a dimension no
+  // Matrix can hold: decode must report an error, not build the matrix.
+  const std::pair<uint32_t, uint32_t> shapes[] = {
+      {1u << 31, 0}, {0, 1u << 31}, {0xFFFFFFFFu, 0xFFFFFFFFu}};
+  for (const auto& [rows, cols] : shapes) {
+    std::vector<uint8_t> frame = EncodeMatrixFrame(Matrix(0, 0), /*seq=*/0);
+    const size_t checksum_at = frame.size() - 8;
+    for (int i = 0; i < 4; ++i) {
+      frame[4 + i] = static_cast<uint8_t>(rows >> (8 * i));
+      frame[8 + i] = static_cast<uint8_t>(cols >> (8 * i));
+    }
+    const uint64_t checksum = Fnv1a64(frame.data(), checksum_at);
+    for (int i = 0; i < 8; ++i) {
+      frame[checksum_at + i] = static_cast<uint8_t>(checksum >> (8 * i));
+    }
+    auto decoded = DecodeMatrixFrame(frame);
+    ASSERT_FALSE(decoded.ok()) << rows << "x" << cols;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError)
+        << rows << "x" << cols << ": " << decoded.status().ToString();
+  }
+}
+
 // ---- Retry / backoff on the virtual clock ----------------------------------
 
 TEST(ReliableTransferTest, ScriptedDropsRetryWithExactBackoffAndMetrics) {

@@ -298,10 +298,10 @@ TEST_F(ObsChannelTest, RoundLogTracksPerRoundSubtotals) {
   const int64_t wire = MatrixWireBytes(payload);
 
   channel.BeginRound();
-  channel.SendMatrix("client_0", "server", payload, "embeddings");
-  channel.SendMatrix("client_1", "server", payload, "embeddings");
+  channel.Send(wire, "embeddings");
+  channel.Send(wire, "embeddings");
   channel.BeginRound();
-  channel.SendMatrix("server", "client_0", payload, "gradients");
+  channel.Send(wire, "gradients");
 
   const std::vector<ChannelRound> rounds = channel.RoundLog();
   ASSERT_EQ(rounds.size(), 2u);
@@ -397,38 +397,6 @@ TEST_F(ObsChannelTest, RoundWallTimeIsDeterministicOnVirtualClock) {
   EXPECT_DOUBLE_EQ(rounds[0].wall_ms, 15.0);
   // The open round is timed up to the snapshot instant.
   EXPECT_DOUBLE_EQ(rounds[1].wall_ms, 40.0);
-}
-
-TEST_F(ObsChannelTest, SendMatrixEmitsLinkedSendAndRecvSpans) {
-  EnableTracing(/*export_path=*/"");
-  Channel channel;
-  Rng rng(5);
-  const Matrix payload = Matrix::RandomNormal(3, 3, &rng);
-  channel.BeginRound();
-  channel.SendMatrix("client_0", "coordinator", payload, "latents");
-  DisableTracing();
-
-  const std::vector<TraceEvent> events = SnapshotTraceEvents();
-  const TraceEvent* send = nullptr;
-  const TraceEvent* recv = nullptr;
-  uint64_t flow_start = 0, flow_finish = 0;
-  for (const TraceEvent& e : events) {
-    if (e.name == "channel.send") send = &e;
-    if (e.name == "channel.recv") recv = &e;
-    if (e.phase == 's') flow_start = e.flow_id;
-    if (e.phase == 'f') flow_finish = e.flow_id;
-  }
-  ASSERT_NE(send, nullptr);
-  ASSERT_NE(recv, nullptr);
-  ASSERT_NE(send->party, nullptr);
-  ASSERT_NE(recv->party, nullptr);
-  EXPECT_STREQ(send->party, "client_0");
-  EXPECT_STREQ(recv->party, "coordinator");
-  ASSERT_NE(send->tag, nullptr);
-  EXPECT_STREQ(send->tag, "latents");
-  // One flow connects the pair.
-  EXPECT_NE(flow_start, 0u);
-  EXPECT_EQ(flow_start, flow_finish);
 }
 
 }  // namespace

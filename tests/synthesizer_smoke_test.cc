@@ -11,6 +11,8 @@
 #include "core/silofuse.h"
 #include "data/generators/paper_datasets.h"
 #include "distributed/e2e_distributed.h"
+#include "distributed/partition.h"
+#include "distributed/vfl.h"
 #include "metrics/resemblance.h"
 #include "models/e2e.h"
 #include "models/gan.h"
@@ -151,9 +153,39 @@ TEST(SynthesizerSmokeTest, E2EDistr) {
   EXPECT_GT(model.bytes_per_training_round(), 0);
 }
 
+// Split-learning classifier over `data`'s non-target columns, held by
+// three silos: class probabilities on the training rows after one Train.
+Matrix VflProbabilities(const Table& data) {
+  const DatasetTask task = GetPaperDatasetInfo("loan").Value().task;
+  const int target = data.schema().ColumnIndex(task.target_column).Value();
+  std::vector<int> feature_cols;
+  for (int c = 0; c < data.num_columns(); ++c) {
+    if (c != target) feature_cols.push_back(c);
+  }
+  PartitionConfig partition;
+  partition.num_clients = 3;
+  const std::vector<Table> parts =
+      PartitionTable(data.SelectColumns(feature_cols), partition).Value();
+  std::vector<double> labels;
+  for (int r = 0; r < data.num_rows(); ++r) {
+    labels.push_back(data.value(r, target));
+  }
+  VflConfig config;
+  config.train_steps = 20;
+  config.batch_size = 64;
+  Rng rng(21);
+  auto model = VflClassifier::Create(
+                   parts, data.schema().column(target).cardinality, config,
+                   &rng)
+                   .Value();
+  EXPECT_TRUE(model->Train(parts, labels, &rng).ok());
+  return model->PredictProba(parts).Value();
+}
+
 // The baselines seal their networks when Fit ends, so sampling runs the
 // packed GEMM path; training and sampling must give the same bytes at any
-// thread count. 600 sampled rows span several 64-row denoising tiles.
+// thread count. 600 sampled rows span several 64-row denoising tiles. So
+// must the VFL classifier's probabilities after one Train.
 TEST(SynthesizerSmokeTest, BaselinesSampleSameBytesAtAnyThreadCount) {
   struct ThreadSettingGuard {
     int saved = NumThreads();
@@ -198,6 +230,12 @@ TEST(SynthesizerSmokeTest, BaselinesSampleSameBytesAtAnyThreadCount) {
       } else {
         EXPECT_EQ(values, one_thread[i]) << models[i]->name();
       }
+    }
+    const Matrix proba = VflProbabilities(data);
+    if (threads == 1) {
+      one_thread.push_back(proba);
+    } else {
+      EXPECT_EQ(proba, one_thread[models.size()]) << "VFL";
     }
   }
 }

@@ -1,7 +1,8 @@
 // Cross-silo trace-context propagation: pack/unpack, the frame-header ride
 // (byte-accounting invariance included), ambient-context flow across the
-// runtime pool, retry/backoff spans from the reliability layer, and profile
-// aggregation determinism.
+// runtime pool, retry/backoff spans from the reliability layer, the linked
+// transfer spans of a fault-free SiloFuse run, and profile aggregation
+// determinism.
 
 #include "obs/trace_context.h"
 
@@ -13,6 +14,8 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "core/silofuse.h"
+#include "data/generators/paper_datasets.h"
 #include "distributed/channel.h"
 #include "distributed/fault.h"
 #include "obs/profile.h"
@@ -236,6 +239,102 @@ TEST_F(TraceContextTest, ContextRoundTripsAcrossFaultyChannelWithFaults) {
   EXPECT_EQ(flow_ends, 1);
   // The closed flow belongs to the final (delivered) attempt.
   EXPECT_EQ(recv_flow, last_attempt_flow);
+}
+
+// The event of `phase` on `tid` recorded inside `span`, or nullptr when
+// there is not exactly one.
+const obs::TraceEvent* FlowInside(const std::vector<obs::TraceEvent>& events,
+                                  const obs::TraceEvent& span, char phase) {
+  const obs::TraceEvent* found = nullptr;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name != "transfer" || e.phase != phase || e.tid != span.tid ||
+        e.start_ns < span.start_ns ||
+        e.start_ns > span.start_ns + span.dur_ns) {
+      continue;
+    }
+    if (found != nullptr) return nullptr;
+    found = &e;
+  }
+  return found;
+}
+
+TEST_F(TraceContextTest, FaultFreeSiloFuseLinksOneTransferPerSiloAndRound) {
+  constexpr int kSilos = 3;
+  SiloFuseOptions options;
+  options.base.autoencoder.hidden_dim = 24;
+  options.base.autoencoder_steps = 10;
+  options.base.diffusion_train_steps = 10;
+  options.base.batch_size = 32;
+  options.base.diffusion.hidden_dim = 16;
+  options.base.diffusion.num_layers = 2;
+  options.partition.num_clients = kSilos;
+  SiloFuse model(options);
+  const Table data = GeneratePaperDataset("loan", 120, /*seed=*/9).Value();
+  Rng rng(4);
+  obs::EnableTracing("");
+  ASSERT_TRUE(model.Fit(data, &rng).ok());
+  ASSERT_TRUE(model.Synthesize(20, &rng).ok());
+  obs::DisableTracing();
+  const uint32_t run_id = model.trace_run_id();
+  ASSERT_NE(run_id, 0u);
+
+  const auto events = obs::SnapshotTraceEvents();
+  // Round 1 uploads training latents, round 2 ships synthetic slices back.
+  for (const int round : {1, 2}) {
+    for (int silo = 0; silo < kSilos; ++silo) {
+      SCOPED_TRACE("round " + std::to_string(round) + " silo " +
+                   std::to_string(silo));
+      const std::string client = "client_" + std::to_string(silo);
+      const std::string sender = round == 1 ? client : "coordinator";
+      const std::string receiver = round == 1 ? "coordinator" : client;
+      const obs::TraceEvent* attempt = nullptr;
+      const obs::TraceEvent* recv = nullptr;
+      int attempts = 0, recvs = 0;
+      for (const obs::TraceEvent& e : events) {
+        if (e.run_id != run_id || e.round != round || e.silo_id != silo) {
+          continue;
+        }
+        if (e.name == "transfer.attempt") {
+          ++attempts;
+          attempt = &e;
+        } else if (e.name == "transfer.recv") {
+          ++recvs;
+          recv = &e;
+        }
+      }
+      ASSERT_EQ(attempts, 1);
+      ASSERT_EQ(recvs, 1);
+      ASSERT_NE(attempt->party, nullptr);
+      EXPECT_EQ(attempt->party, sender);
+      ASSERT_NE(recv->party, nullptr);
+      EXPECT_EQ(recv->party, receiver);
+      // The receive span's run id, round and silo were unpacked from the
+      // frame header (matched above); so was its tag.
+      ASSERT_NE(recv->tag, nullptr);
+      EXPECT_STREQ(recv->tag,
+                   round == 1 ? "training_latents" : "synthetic_latents");
+      // One flow joins the pair: it starts inside the attempt span and
+      // finishes inside the receive span.
+      const obs::TraceEvent* start = FlowInside(events, *attempt, 's');
+      const obs::TraceEvent* finish = FlowInside(events, *recv, 'f');
+      ASSERT_NE(start, nullptr);
+      ASSERT_NE(finish, nullptr);
+      EXPECT_NE(start->flow_id, 0u);
+      EXPECT_EQ(start->flow_id, finish->flow_id);
+      EXPECT_EQ(start->party, sender);
+      EXPECT_EQ(finish->party, receiver);
+    }
+  }
+
+  const obs::ProfileReport report = obs::BuildProfile(events);
+  int rounds_seen = 0;
+  for (const obs::RoundCritical& r : report.rounds) {
+    if (r.round != 1 && r.round != 2) continue;
+    ++rounds_seen;
+    EXPECT_EQ(r.transfer_attempts, kSilos) << "round " << r.round;
+    EXPECT_EQ(r.retries, 0) << "round " << r.round;
+  }
+  EXPECT_EQ(rounds_seen, 2);
 }
 
 // ---- Profile aggregation ---------------------------------------------------
