@@ -245,106 +245,134 @@ Matrix GaussianDdpm::SampleCoalesced(const std::vector<int>& block_rows,
   }
   const DdpmMetrics& metrics = Metrics();
   const double sample_start_ms = NowMs();
-  // Per-block noise draw: block i's rows come from rngs[i] in the same
-  // row-major order Sample() would use, so the seed-pinned trajectory of a
-  // block never depends on what else rides in the batch.
-  const auto draw_blocks = [&] {
-    Matrix out(n, config_.data_dim);
-    int row = 0;
-    for (size_t i = 0; i < block_rows.size(); ++i) {
-      Matrix block =
-          Matrix::RandomNormal(block_rows[i], config_.data_dim, rngs[i]);
-      std::copy(block.row_data(0),
-                block.row_data(0) +
-                    static_cast<size_t>(block.rows()) * block.cols(),
-                out.row_data(row));
-      row += block_rows[i];
-    }
-    return out;
-  };
-  Matrix x = draw_blocks();
-  const std::vector<int> taus = schedule_.InferenceTimesteps(steps);
   const int dim = config_.data_dim;
+  // Fills `out` (n x dim) with one draw: block i's rows come from rngs[i]
+  // in the same row-major order Sample() would use, so the seed-pinned
+  // trajectory of a block never depends on what else rides in the batch.
+  const auto draw_noise = [&](Matrix* out) {
+    SF_TRACE_SPAN("ddpm.sample.noise");
+    float* v = out->data();
+    for (size_t i = 0; i < block_rows.size(); ++i) {
+      float* const block_end = v + static_cast<size_t>(block_rows[i]) * dim;
+      for (; v != block_end; ++v) *v = static_cast<float>(rngs[i]->Normal());
+    }
+  };
+  Matrix x(n, dim);
+  draw_noise(&x);
+
+  // Every step's coefficients, computed once, so the check "does step i + 1
+  // draw noise?" and step i + 1's update read the same sigma.
+  struct StepCoefs {
+    int t = 0;
+    bool final_step = false;
+    double rs0 = 0.0, rs1 = 0.0;  // x0 recovery: the schedule's sqrt tables
+    double sigma = 0.0, coef_x0 = 0.0, dir_coef = 0.0, s0 = 0.0, s1 = 0.0;
+  };
+  const std::vector<int> taus = schedule_.InferenceTimesteps(steps);
+  std::vector<StepCoefs> coefs(taus.size());
+  bool any_noise = false;
+  for (size_t i = 0; i < taus.size(); ++i) {
+    StepCoefs& k = coefs[i];
+    k.t = taus[i];
+    const int t_prev = (i + 1 < taus.size()) ? taus[i + 1] : 0;
+    k.rs0 = schedule_.sqrt_alpha_bar(k.t);
+    k.rs1 = schedule_.sqrt_one_minus_alpha_bar(k.t);
+    k.final_step = t_prev == 0;
+    if (k.final_step) continue;
+    const double abar_t = schedule_.alpha_bar(k.t);
+    const double abar_prev = schedule_.alpha_bar(t_prev);
+    // Generalized (DDIM) update: eta in [0,1] interpolates deterministic
+    // to ancestral sampling.
+    k.sigma = eta * std::sqrt((1.0 - abar_prev) / (1.0 - abar_t) *
+                              (1.0 - abar_t / abar_prev));
+    k.coef_x0 = std::sqrt(abar_prev);
+    k.dir_coef = std::sqrt(std::max(0.0, 1.0 - abar_prev - k.sigma * k.sigma));
+    k.s0 = std::sqrt(abar_t);
+    k.s1 = std::sqrt(1.0 - abar_t);
+    any_noise = any_noise || k.sigma > 0.0;
+  }
+  const auto draws = [&](size_t i) {
+    return i < coefs.size() && coefs[i].sigma > 0.0;
+  };
+  // Three n x dim buffers, reused across steps. Step i reads `x` and
+  // writes `next`. A step with noise finds it already drawn in `next`, and
+  // its update overwrites each element after reading it. Step i + 1's noise
+  // is drawn into `spare` meanwhile. At the step boundary the buffers
+  // rotate: `next` becomes `x`, `spare` becomes `next`, and the old `x` is
+  // spare. Passes without noise use `x` and `next` alone.
+  Matrix next(n, dim);
+  Matrix spare;
+  if (any_noise) spare = Matrix(n, dim);
+  if (draws(0)) draw_noise(&next);
+
   const bool eps_mode = config_.predict == DiffusionPrediction::kEpsilon;
   const int num_tiles = (n + kSampleTileRows - 1) / kSampleTileRows;
-  for (size_t i = 0; i < taus.size(); ++i) {
+  for (size_t i = 0; i < coefs.size(); ++i) {
     SF_TRACE_SPAN("ddpm.sample.step");
     const double step_start_ms = NowMs();
-    const int t = taus[i];
-    const int t_prev = (i + 1 < taus.size()) ? taus[i + 1] : 0;
-    const double rs0 = schedule_.sqrt_alpha_bar(t);
-    const double rs1 = schedule_.sqrt_one_minus_alpha_bar(t);
-    const bool final_step = t_prev == 0;
-    double sigma = 0.0, coef_x0 = 0.0, dir_coef = 0.0, s0 = 0.0, s1 = 0.0;
-    Matrix noise;
-    if (!final_step) {
-      const double abar_t = schedule_.alpha_bar(t);
-      const double abar_prev = schedule_.alpha_bar(t_prev);
-      // Generalized (DDIM) update: eta in [0,1] interpolates deterministic
-      // to ancestral sampling.
-      sigma = eta * std::sqrt((1.0 - abar_prev) / (1.0 - abar_t) *
-                              (1.0 - abar_t / abar_prev));
-      coef_x0 = std::sqrt(abar_prev);
-      dir_coef = std::sqrt(std::max(0.0, 1.0 - abar_prev - sigma * sigma));
-      s0 = std::sqrt(abar_t);
-      s1 = std::sqrt(1.0 - abar_t);
-      // Pre-draw the step's noise on the caller thread: each seed-pinned
-      // Rng is consumed in the same row-major element order as the serial
-      // sampler, so the tiles below can run on any number of threads
-      // without changing the trajectory for a fixed seed.
-      if (sigma > 0.0) noise = draw_blocks();
-    }
-    Matrix next(n, dim);
+    const StepCoefs& k = coefs[i];
+    const bool draw_next = draws(i + 1);
     // Denoises rows [r0, r0 + x_rows.rows()) of the batch: the backbone
     // forward, then x0 recovery, the ±kX0Clamp guard and the DDIM update
     // fused in one pass over the rows. Per element, x0 is recovered from
     // the schedule's precomputed sqrt tables (rs0/rs1), rounded to float
-    // and clamped; the DDIM update then uses s0/s1 re-derived locally. Keep
-    // this exact scalar chain: the sampled bytes of a fixed seed depend on
-    // it.
+    // and clamped; the DDIM update then uses s0/s1, re-derived from
+    // alpha_bar in the step table. Keep this exact scalar chain: the
+    // sampled bytes of a fixed seed depend on it.
     const auto denoise_rows = [&](const Matrix& x_rows, int r0) {
-      const std::vector<int> t_rows(x_rows.rows(), t);
+      const std::vector<int> t_rows(x_rows.rows(), k.t);
       const Matrix prediction =
           ForwardBackbone(x_rows, t_rows, /*train_rng=*/nullptr);
       for (int r = 0; r < x_rows.rows(); ++r) {
         const float* xr = x_rows.row_data(r);
         const float* pr = prediction.row_data(r);
-        const float* zr = sigma > 0.0 ? noise.row_data(r0 + r) : nullptr;
         float* nr = next.row_data(r0 + r);
+        const float* zr = k.sigma > 0.0 ? nr : nullptr;  // drawn in place
         for (int c = 0; c < dim; ++c) {
           float x0v = eps_mode
-                          ? static_cast<float>((xr[c] - rs1 * pr[c]) / rs0)
+                          ? static_cast<float>((xr[c] - k.rs1 * pr[c]) / k.rs0)
                           : pr[c];
           x0v = std::max(-kX0Clamp, std::min(kX0Clamp, x0v));
-          if (final_step) {
+          if (k.final_step) {
             nr[c] = x0v;
             continue;
           }
           // Recovered eps from the (clamped) x0 estimate.
-          const double eps_hat = (xr[c] - s0 * x0v) / s1;
-          double v = coef_x0 * x0v + dir_coef * eps_hat;
-          if (zr != nullptr) v += sigma * zr[c];
+          const double eps_hat = (xr[c] - k.s0 * x0v) / k.s1;
+          double v = k.coef_x0 * x0v + k.dir_coef * eps_hat;
+          if (zr != nullptr) v += k.sigma * zr[c];
           nr[c] = static_cast<float>(v);
         }
       }
     };
     if (num_tiles == 1) {
       denoise_rows(x, 0);
+      if (draw_next) draw_noise(&spare);
     } else {
       // One region per step; the kernels inside a tile run serially on
-      // the thread that owns it.
-      ParallelFor(0, num_tiles, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t tile = lo; tile < hi; ++tile) {
-          const int r0 = static_cast<int>(tile) * kSampleTileRows;
+      // the thread that owns it. When step i + 1 has noise, item 0 draws
+      // it while the other items denoise this step's tiles. That item is
+      // the only user of the Rngs during the pass and walks them in the
+      // serial order (block by block, row-major), so every value, and each
+      // Rng's state after the pass, equals a draw made before the region,
+      // at any thread count.
+      const int first_tile = draw_next ? 1 : 0;
+      ParallelFor(0, first_tile + num_tiles, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t item = lo; item < hi; ++item) {
+          if (item < first_tile) {
+            draw_noise(&spare);
+            continue;
+          }
+          const int r0 = static_cast<int>(item - first_tile) * kSampleTileRows;
           denoise_rows(x.SliceRows(r0, std::min(kSampleTileRows, n - r0)),
                        r0);
         }
       });
     }
-    x = std::move(next);
+    std::swap(x, next);
+    if (any_noise) std::swap(next, spare);
     metrics.sample_step_ms->Observe(NowMs() - step_start_ms);
     metrics.sample_steps->Increment();
-    if (final_step) break;
   }
   metrics.sample_rows->Add(n);
   const double elapsed_ms = NowMs() - sample_start_ms;

@@ -67,6 +67,12 @@ class GaussianDdpm {
   /// the batch size, and rows never mix, so the bytes are those of one
   /// whole-batch pass at any thread count. A batch of at most one tile runs
   /// inline, where the backbone's kernels may still fan out.
+  ///
+  /// With eta > 0, step i + 1's noise is drawn as one extra item of step
+  /// i's region, beside its tiles (after the tile, in a one-tile pass). The
+  /// draw alone touches the Rngs during the pass, in the serial order, so
+  /// the noise values and each Rng's final state equal those of a serial
+  /// sampler that draws every step's noise before the step.
   Matrix SampleCoalesced(const std::vector<int>& block_rows,
                          const std::vector<Rng*>& rngs, int steps, double eta);
 

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "diffusion/schedule.h"
 #include "diffusion/time_embedding.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/parallel_for.h"
 
 namespace silofuse {
@@ -191,8 +193,9 @@ TEST(GaussianDdpmTest, DeterministicDdimSamplingIsReproducible) {
   EXPECT_EQ(a, b);
 }
 
-// Ancestral sampling (eta = 1) pre-draws each step's noise on the caller
-// thread, so the trajectory must be byte-identical at any thread count.
+// Ancestral sampling (eta = 1) draws each step's noise on whichever thread
+// claims it, beside the previous step's tiles, in the serial draw order, so
+// the trajectory must be byte-identical at any thread count.
 TEST(GaussianDdpmTest, AncestralSamplingIsByteIdenticalAcrossThreadCounts) {
   Rng init(11);
   GaussianDdpmConfig config;
@@ -363,6 +366,105 @@ TEST(GaussianDdpmTest, TiledSamplingRightAfterTrainingIsRaceFree) {
   const Matrix serial = train_then_sample(1);
   SetNumThreads(saved_threads);
   EXPECT_TRUE(SameBytes(parallel, serial));
+}
+
+// Leaves `rng` where a serial sampler leaves a block of `rows` rows: the
+// initial x, then one draw per non-final step with sigma > 0. sigma is
+// positive at every non-final step when eta > 0 (alpha_bar falls strictly),
+// and zero at every step when eta == 0.
+void ReplaySerialDraws(const GaussianDdpm& ddpm, int rows, int steps,
+                       double eta, Rng* rng) {
+  const int non_final =
+      static_cast<int>(ddpm.schedule().InferenceTimesteps(steps).size()) - 1;
+  const int draws = 1 + (eta > 0.0 ? non_final : 0);
+  const int64_t per_draw = static_cast<int64_t>(rows) * ddpm.config().data_dim;
+  for (int64_t e = 0; e < draws * per_draw; ++e) rng->Normal();
+}
+
+// Each step's noise is drawn by one item of the previous step's tile region
+// (or after the tile, for a one-tile pass). Over eta, step counts and batch
+// shapes on both sides of the one-tile cut, the bytes must not depend on the
+// thread count, and every block's Rng must end where the serial draw order
+// leaves it: decoding continues from that state, so the draw count and
+// order are part of the byte contract.
+TEST(GaussianDdpmTest, StepAheadNoiseKeepsBytesAndRngStreams) {
+  constexpr int kT = GaussianDdpm::kSampleTileRows;
+  const std::vector<std::vector<int>> shapes = {
+      {3}, {kT}, {4 * kT + 3}, {5, kT + 6, 2 * kT + 1}};
+  Rng init(51);
+  GaussianDdpm ddpm(SmallDenoiserConfig(), &init);
+  ddpm.PrepareForSampling();
+  const int saved_threads = NumThreads();
+  for (double eta : {0.0, 0.5, 1.0}) {
+    for (int steps : {1, 2, 10}) {
+      for (const std::vector<int>& blocks : shapes) {
+        Matrix first;
+        for (int threads : {1, 2, 4}) {
+          SetNumThreads(threads);
+          std::vector<Rng> rngs;
+          for (size_t b = 0; b < blocks.size(); ++b) rngs.emplace_back(500 + b);
+          Matrix out;
+          if (blocks.size() == 1) {
+            out = ddpm.Sample(blocks[0], steps, &rngs[0], eta);
+          } else {
+            std::vector<Rng*> rng_ptrs;
+            for (Rng& rng : rngs) rng_ptrs.push_back(&rng);
+            out = ddpm.SampleCoalesced(blocks, rng_ptrs, steps, eta);
+          }
+          const std::string where =
+              "eta=" + std::to_string(eta) + " steps=" + std::to_string(steps) +
+              " blocks=" + std::to_string(blocks.size()) + " rows[0]=" +
+              std::to_string(blocks[0]) + " threads=" + std::to_string(threads);
+          EXPECT_TRUE(out.AllFinite()) << where;
+          if (threads == 1) {
+            first = out;
+          } else {
+            EXPECT_TRUE(SameBytes(out, first)) << where;
+          }
+          for (size_t b = 0; b < blocks.size(); ++b) {
+            Rng reference(500 + b);
+            ReplaySerialDraws(ddpm, blocks[b], steps, eta, &reference);
+            EXPECT_EQ(rngs[b].Uniform(), reference.Uniform())
+                << where << " block " << b;
+          }
+        }
+      }
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
+int CountSpans(const std::vector<obs::TraceEvent>& events,
+               const std::string& name) {
+  int count = 0;
+  for (const obs::TraceEvent& e : events) count += e.name == name ? 1 : 0;
+  return count;
+}
+
+// One ddpm.sample.noise span per draw, on whichever thread ran it: the
+// initial x plus one per noisy step, and only the initial x when eta == 0.
+TEST(GaussianDdpmTest, EveryNoiseDrawHasASpan) {
+  Rng init(61);
+  GaussianDdpm ddpm(SmallDenoiserConfig(), &init);
+  ddpm.PrepareForSampling();
+  const int saved_threads = NumThreads();
+  SetNumThreads(4);
+  for (int rows : {3, 4 * GaussianDdpm::kSampleTileRows + 3}) {
+    for (double eta : {0.0, 1.0}) {
+      obs::ClearTraceEvents();
+      obs::EnableTracing("");
+      Rng rng(62);
+      ddpm.Sample(rows, 10, &rng, eta);
+      obs::DisableTracing();
+      const std::vector<obs::TraceEvent> events = obs::SnapshotTraceEvents();
+      EXPECT_EQ(CountSpans(events, "ddpm.sample.noise"), eta > 0.0 ? 10 : 1)
+          << "rows=" << rows << " eta=" << eta;
+      EXPECT_EQ(CountSpans(events, "ddpm.sample.step"), 10)
+          << "rows=" << rows << " eta=" << eta;
+    }
+  }
+  obs::ClearTraceEvents();
+  SetNumThreads(saved_threads);
 }
 
 TEST(GaussianDdpmTest, BackwardBackboneReturnsDataDimGradient) {
