@@ -52,4 +52,24 @@ bool ParseDouble(std::string_view text, double* value) {
   return true;
 }
 
+std::optional<bool> ParseFlag(std::string_view text) {
+  std::string word(text);
+  for (char& c : word) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  if (word == "1" || word == "on" || word == "true" || word == "yes") {
+    return true;
+  }
+  if (word == "0" || word == "off" || word == "false" || word == "no") {
+    return false;
+  }
+  return std::nullopt;
+}
+
+bool EnvFlag(const char* name, bool fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return fallback;
+  return ParseFlag(value).value_or(fallback);
+}
+
 }  // namespace silofuse

@@ -1,6 +1,7 @@
 #ifndef SILOFUSE_COMMON_STRING_UTIL_H_
 #define SILOFUSE_COMMON_STRING_UTIL_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,15 @@ std::string FormatDouble(double value, int digits);
 
 /// True if `text` parses fully as a finite double; stores it in *value.
 bool ParseDouble(std::string_view text, double* value);
+
+/// The one on/off vocabulary of the SILOFUSE_* switches, ASCII case-
+/// insensitive: "1", "on", "true", "yes" -> true; "0", "off", "false", "no"
+/// -> false; anything else (including "") -> nullopt.
+std::optional<bool> ParseFlag(std::string_view text);
+
+/// ParseFlag of environment variable `name`, or `fallback` when it is unset
+/// or not a flag word.
+bool EnvFlag(const char* name, bool fallback);
 
 }  // namespace silofuse
 

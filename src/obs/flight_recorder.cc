@@ -11,6 +11,7 @@
 #include <mutex>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -98,15 +99,13 @@ const char* FlightPhaseName(FlightPhase phase) {
     case FlightPhase::kReject: return "serve.reject";
     case FlightPhase::kBreach: return "serve.slo_breach";
     case FlightPhase::kQualityBreach: return "serve.quality_breach";
+    case FlightPhase::kHandoff: return "serve.handoff";
   }
   return "unknown";
 }
 
 FlightRecorder::FlightRecorder() {
-  if (const char* flag = std::getenv("SILOFUSE_FLIGHT");
-      flag != nullptr && (flag[0] == '0' || flag[0] == 'n' || flag[0] == 'N')) {
-    enabled_.store(false, std::memory_order_relaxed);
-  }
+  enabled_.store(EnvFlag("SILOFUSE_FLIGHT", true), std::memory_order_relaxed);
   if (const char* dir = std::getenv("SILOFUSE_FLIGHT_DIR");
       dir != nullptr && *dir != '\0') {
     std::lock_guard<std::mutex> lock(g_dump_mu);
@@ -213,7 +212,8 @@ Status FlightRecorder::WriteJson(const std::string& path) const {
   // Flow arrows: chain each request's phases in time order. The "s" point
   // sits just inside the end of the earlier slice and the "f" point at the
   // start of the later one, so the viewer binds both to the right slices
-  // and draws the queue -> linger -> sample -> decode -> stream arrows.
+  // and draws the queue -> linger -> sample -> decode -> handoff -> stream
+  // arrows.
   std::map<uint64_t, std::vector<const FlightEvent*>> by_request;
   for (const FlightEvent& e : events) {
     if (e.request_id != 0) by_request[e.request_id].push_back(&e);

@@ -27,9 +27,11 @@ enum class FlightPhase : uint8_t {
   kReject = 8,         // instant: admission control shed this request
   kBreach = 9,         // instant: SLO monitor entered breach
   kQualityBreach = 10,  // instant: quality auditor entered breach
+  kHandoff = 11,        // end of decode until the caller holds its table
 };
 
-/// Stable lower-case name ("queue", "sample", ...) for dump/span labels.
+/// Stable lower-case name ("serve.queue", "serve.sample", ...) for dump/span
+/// labels; serve::RecordPhase derives each timed phase's histogram from it.
 const char* FlightPhaseName(FlightPhase phase);
 
 /// One recorded event, decoded out of a ring slot.
@@ -60,11 +62,11 @@ struct FlightEvent {
 class FlightRecorder {
  public:
   /// Slots per thread ring (power of two). ~4K events x 64B = 256 KiB per
-  /// recording thread; at 6 events/request that is the last ~680 requests.
+  /// recording thread; at 7 events/request that is the last ~585 requests.
   static constexpr size_t kRingSlots = 4096;
 
-  /// Process-wide instance. Enabled by default; SILOFUSE_FLIGHT=0 disables,
-  /// SILOFUSE_FLIGHT_DIR presets the dump directory.
+  /// Process-wide instance. Enabled by default; SILOFUSE_FLIGHT=0 (or
+  /// off/false/no) disables, SILOFUSE_FLIGHT_DIR presets the dump directory.
   static FlightRecorder& Global();
 
   FlightRecorder(const FlightRecorder&) = delete;

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/quality_audit.h"
@@ -40,11 +40,7 @@ std::string FormatValue(double v) {
 
 HealthOptions HealthOptions::FromEnv() {
   HealthOptions options;
-  if (const char* v = std::getenv("SILOFUSE_HEALTH");
-      v != nullptr && (std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-                       std::strcmp(v, "false") == 0)) {
-    options.enabled = false;
-  }
+  options.enabled = EnvFlag("SILOFUSE_HEALTH", options.enabled);
   if (const char* v = std::getenv("SILOFUSE_HEALTH_EVERY");
       v != nullptr && std::atoi(v) > 0) {
     options.stats_every = std::atoi(v);

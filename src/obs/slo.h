@@ -79,8 +79,8 @@ class SloMonitor {
  public:
   /// `clock` is borrowed and must outlive the monitor; nullptr means
   /// SystemClock::Default(). A non-empty `metric_prefix` publishes
-  /// "<prefix>.breached" / "<prefix>.burn_short" / "<prefix>.burn_long"
-  /// gauges and counter "<prefix>.breaches" on every Record.
+  /// "<prefix>.breached" / "<prefix>.burn_short" / "<prefix>.burn_long" /
+  /// "<prefix>.breaches" (breach entries so far) gauges on every Record.
   explicit SloMonitor(const SloOptions& options, Clock* clock = nullptr,
                       std::string metric_prefix = "");
 

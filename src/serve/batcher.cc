@@ -1,13 +1,15 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 
-#include "obs/flight_recorder.h"
+#include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
@@ -22,8 +24,6 @@ struct BatcherMetrics {
   obs::Gauge* queue_depth;
   obs::Histogram* batch_requests;
   obs::Histogram* batch_rows;
-  obs::Histogram* queue_ms;
-  obs::Histogram* linger_ms;
 };
 
 const BatcherMetrics& Metrics() {
@@ -36,37 +36,62 @@ const BatcherMetrics& Metrics() {
         "serve.batch.requests", {1, 2, 4, 8, 16, 32, 64});
     m.batch_rows = registry.GetHistogram(
         "serve.batch.rows", {16, 64, 256, 1024, 4096, 16384});
-    m.queue_ms = registry.GetHistogram("serve.queue_ms", ServePhaseBoundsMs());
-    m.linger_ms =
-        registry.GetHistogram("serve.linger_ms", ServePhaseBoundsMs());
     return m;
   }();
   return metrics;
 }
 
-struct DeployPhaseMetrics {
-  obs::Histogram* queue_ms;
-  obs::Histogram* linger_ms;
+/// The timed serving phases, in request order.
+constexpr obs::FlightPhase kTimedPhases[] = {
+    obs::FlightPhase::kQueue,  obs::FlightPhase::kLinger,
+    obs::FlightPhase::kCacheLoad, obs::FlightPhase::kSample,
+    obs::FlightPhase::kDecode, obs::FlightPhase::kHandoff,
+    obs::FlightPhase::kStream};
+
+/// The serving histograms of one scope: the process ("serve") or one
+/// deployment ("serve.deploy.<d>").
+struct PhaseTable {
+  obs::Histogram* request_latency_ms = nullptr;
+  std::array<obs::Histogram*, 16> phase_ms{};  // by FlightPhase value
 };
 
-/// Per-deployment queue/linger histograms, cached by interned pointer (each
-/// distinct deployment string interns to one stable pointer, so the hot
-/// path is one map lookup under a small mutex, no string building).
-const DeployPhaseMetrics* DeployMetricsFor(const char* deployment) {
+PhaseTable MakePhaseTable(const std::string& prefix) {
+  auto& registry = obs::MetricsRegistry::Global();
+  PhaseTable table;
+  table.request_latency_ms = registry.GetHistogram(
+      prefix + ".request_latency_ms",
+      {0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000});
+  for (obs::FlightPhase phase : kTimedPhases) {
+    // "serve.<phase>" names the flight event; its histogram is
+    // <prefix>.<phase>_ms.
+    const std::string_view name = obs::FlightPhaseName(phase);
+    table.phase_ms.at(static_cast<size_t>(phase)) = registry.GetHistogram(
+        prefix + std::string(name.substr(name.find('.'))) + "_ms",
+        ServePhaseBoundsMs());
+  }
+  return table;
+}
+
+const PhaseTable& ProcessPhases() {
+  static const PhaseTable table = MakePhaseTable("serve");
+  return table;
+}
+
+/// One deployment's table, cached by interned pointer (each distinct
+/// deployment string interns to one stable pointer, so the hot path is one
+/// map lookup under a small mutex, no string building). Null for a null
+/// deployment.
+const PhaseTable* DeploymentPhases(const char* deployment) {
   if (deployment == nullptr) return nullptr;
   static std::mutex mu;
-  static auto* cache = new std::map<const char*, DeployPhaseMetrics>();
+  static auto* cache = new std::map<const char*, PhaseTable>();
   std::lock_guard<std::mutex> lock(mu);
   auto it = cache->find(deployment);
   if (it == cache->end()) {
-    auto& registry = obs::MetricsRegistry::Global();
-    const std::string prefix = std::string("serve.deploy.") + deployment;
-    DeployPhaseMetrics m;
-    m.queue_ms =
-        registry.GetHistogram(prefix + ".queue_ms", ServePhaseBoundsMs());
-    m.linger_ms =
-        registry.GetHistogram(prefix + ".linger_ms", ServePhaseBoundsMs());
-    it = cache->emplace(deployment, m).first;
+    it = cache
+             ->emplace(deployment, MakePhaseTable(std::string("serve.deploy.") +
+                                                  deployment))
+             .first;
   }
   return &it->second;
 }
@@ -87,6 +112,40 @@ bool SameParams(const SamplingParams& a, const SamplingParams& b) {
 std::atomic<int64_t> g_queue_depth_total{0};
 
 }  // namespace
+
+void RecordPhase(obs::FlightPhase phase, uint64_t request_id,
+                 uint64_t batch_id, const char* deployment, int32_t rows,
+                 int64_t start_ns, int64_t end_ns) {
+  const size_t slot = static_cast<size_t>(phase);
+  SF_DCHECK(slot < ProcessPhases().phase_ms.size() &&
+            ProcessPhases().phase_ms[slot] != nullptr)
+      << "not a timed phase: " << obs::FlightPhaseName(phase);
+  const double ms =
+      static_cast<double>(std::max<int64_t>(0, end_ns - start_ns)) / 1e6;
+  ProcessPhases().phase_ms[slot]->Observe(ms);
+  if (const PhaseTable* deploy = DeploymentPhases(deployment)) {
+    deploy->phase_ms[slot]->Observe(ms);
+  }
+  obs::FlightRecorder::Global().Record(phase, request_id, batch_id,
+                                       deployment, rows, start_ns, end_ns);
+}
+
+void RecordRequestEnd(const char* deployment, int rows, int64_t submit_ns,
+                      int64_t end_ns, obs::SloOutcome outcome,
+                      obs::SloMonitor* slo) {
+  static obs::Counter* const rows_served =
+      obs::MetricsRegistry::Global().GetCounter("serve.rows");
+  static obs::Counter* const errors =
+      obs::MetricsRegistry::Global().GetCounter("serve.errors");
+  const double latency_ms = static_cast<double>(end_ns - submit_ns) / 1e6;
+  ProcessPhases().request_latency_ms->Observe(latency_ms);
+  if (const PhaseTable* deploy = DeploymentPhases(deployment)) {
+    deploy->request_latency_ms->Observe(latency_ms);
+  }
+  if (rows > 0) rows_served->Add(rows);
+  if (outcome == obs::SloOutcome::kError) errors->Increment();
+  if (slo != nullptr) slo->Record(latency_ms, outcome);
+}
 
 RequestBatcher::RequestBatcher(BatcherOptions options, BatchFn batch_fn)
     : options_(options), batch_fn_(std::move(batch_fn)) {
@@ -202,36 +261,22 @@ void RequestBatcher::Dispatch(std::vector<Pending> batch, int64_t wake_ns) {
   const uint32_t batch_id =
       g_next_batch_id.fetch_add(1, std::memory_order_relaxed) + 1;
   const BatcherMetrics& metrics = Metrics();
-  const DeployPhaseMetrics* deploy =
-      DeployMetricsFor(batch.front().request.deployment);
-  auto& flight = obs::FlightRecorder::Global();
   std::vector<Request> requests;
   requests.reserve(batch.size());
   int rows = 0;
   for (const Pending& pending : batch) {
-    requests.push_back(pending.request);
-    rows += pending.request.rows;
+    const Request& request = pending.request;
+    requests.push_back(request);
+    rows += request.rows;
     // Queue = submit until the worker first saw work for this batch;
     // linger = the rest of the wait. A request that arrived mid-linger has
     // zero queue time, and the two always sum to dispatch - submit.
-    const int64_t submit_ns = pending.request.submit_ns;
-    const int64_t queue_end = std::max(submit_ns, wake_ns);
-    const double queue_ms = static_cast<double>(queue_end - submit_ns) / 1e6;
-    const double linger_ms =
-        static_cast<double>(std::max<int64_t>(0, dispatch_ns - queue_end)) /
-        1e6;
-    metrics.queue_ms->Observe(queue_ms);
-    metrics.linger_ms->Observe(linger_ms);
-    if (deploy != nullptr) {
-      deploy->queue_ms->Observe(queue_ms);
-      deploy->linger_ms->Observe(linger_ms);
-    }
-    flight.Record(obs::FlightPhase::kQueue, pending.request.request_id,
-                  batch_id, pending.request.deployment, pending.request.rows,
-                  submit_ns, queue_end);
-    flight.Record(obs::FlightPhase::kLinger, pending.request.request_id,
-                  batch_id, pending.request.deployment, pending.request.rows,
-                  queue_end, dispatch_ns);
+    const int64_t queue_end = std::max(request.submit_ns, wake_ns);
+    RecordPhase(obs::FlightPhase::kQueue, request.request_id, batch_id,
+                request.deployment, request.rows, request.submit_ns,
+                queue_end);
+    RecordPhase(obs::FlightPhase::kLinger, request.request_id, batch_id,
+                request.deployment, request.rows, queue_end, dispatch_ns);
   }
   metrics.batch_requests->Observe(static_cast<double>(batch.size()));
   metrics.batch_rows->Observe(static_cast<double>(rows));

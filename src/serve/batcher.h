@@ -14,17 +14,39 @@
 #include "common/result.h"
 #include "core/silofuse.h"
 #include "data/table.h"
+#include "obs/flight_recorder.h"
+#include "obs/slo.h"
 
 namespace silofuse {
 namespace serve {
 
 /// Shared bucket bounds (milliseconds) for the serve.*_ms phase histograms
-/// (queue/linger/sample/decode/stream/cache_load). Sub-millisecond buckets
-/// matter here: a healthy queue wait is tens of microseconds.
+/// (queue/linger/cache_load/sample/decode/handoff/stream). Sub-millisecond
+/// buckets matter here: a healthy queue wait is tens of microseconds.
 inline std::vector<double> ServePhaseBoundsMs() {
   return {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
           2.5,  5,     10,   25,  50,  100, 250, 1000};
 }
+
+/// Records one timed serving phase, [start_ns, end_ns] on the trace clock,
+/// in its three views: histogram serve.<phase>_ms (FlightPhaseName(phase) +
+/// "_ms", ServePhaseBoundsMs), its copy serve.deploy.<deployment>.<phase>_ms
+/// (none for a null deployment), and the flight event. `phase` is one of
+/// the timed phases: queue, linger, cache_load, sample, decode, handoff,
+/// stream. `request_id` 0 marks a batch-scoped phase (cache_load),
+/// `batch_id` 0 a caller-side one (handoff, stream). `deployment` must be
+/// interned (obs::InternTraceString) or a literal.
+void RecordPhase(obs::FlightPhase phase, uint64_t request_id,
+                 uint64_t batch_id, const char* deployment, int32_t rows,
+                 int64_t start_ns, int64_t end_ns);
+
+/// Closes one admitted request: serve.request_latency_ms and its
+/// serve.deploy.<deployment>.* copy observe end_ns - submit_ns, counter
+/// serve.rows adds `rows` (0 when no table was produced), serve.errors
+/// counts a kError outcome, and a non-null `slo` files latency and outcome.
+void RecordRequestEnd(const char* deployment, int rows, int64_t submit_ns,
+                      int64_t end_ns, obs::SloOutcome outcome,
+                      obs::SloMonitor* slo);
 
 struct BatcherOptions {
   /// Coalesce at most this many requests into one sampling pass.
@@ -64,10 +86,10 @@ struct BatcherOptions {
 /// clobber each other's share.
 ///
 /// Phase attribution: every request's time before its batch function runs
-/// is split into serve.queue_ms (waiting for the worker to be free) and
-/// serve.linger_ms (the deliberate wait for co-batchable arrivals), with
-/// per-deployment copies under serve.deploy.<name>.*, matching flight-
-/// recorder events (kEnqueue/kQueue/kLinger/kReject), and a batch-scoped
+/// is split into the queue phase (waiting for the worker to be free) and
+/// the linger phase (the deliberate wait for co-batchable arrivals), each
+/// recorded through RecordPhase, plus instant flight events kEnqueue and
+/// kReject, and a batch-scoped
 /// TraceContext (run = first request id, round = batch id, tag =
 /// deployment) installed around the batch function so downstream spans and
 /// flight events share ids with the enqueue side.

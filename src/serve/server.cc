@@ -5,12 +5,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,83 +21,6 @@
 namespace silofuse {
 namespace serve {
 
-namespace {
-
-struct ServerMetrics {
-  obs::Counter* requests;
-  obs::Counter* rows;
-  obs::Counter* errors;
-  obs::Histogram* latency_ms;
-  obs::Histogram* sample_ms;
-  obs::Histogram* decode_ms;
-  obs::Histogram* handoff_ms;
-  obs::Histogram* stream_ms;
-  obs::Histogram* cache_load_ms;
-};
-
-const ServerMetrics& Metrics() {
-  static const ServerMetrics metrics = [] {
-    auto& registry = obs::MetricsRegistry::Global();
-    ServerMetrics m;
-    m.requests = registry.GetCounter("serve.requests");
-    m.rows = registry.GetCounter("serve.rows");
-    m.errors = registry.GetCounter("serve.errors");
-    m.latency_ms = registry.GetHistogram(
-        "serve.request_latency_ms",
-        {0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000});
-    m.sample_ms =
-        registry.GetHistogram("serve.sample_ms", ServePhaseBoundsMs());
-    m.decode_ms =
-        registry.GetHistogram("serve.decode_ms", ServePhaseBoundsMs());
-    m.handoff_ms =
-        registry.GetHistogram("serve.handoff_ms", ServePhaseBoundsMs());
-    m.stream_ms =
-        registry.GetHistogram("serve.stream_ms", ServePhaseBoundsMs());
-    m.cache_load_ms =
-        registry.GetHistogram("serve.cache_load_ms", ServePhaseBoundsMs());
-    return m;
-  }();
-  return metrics;
-}
-
-struct DeployServeMetrics {
-  obs::Histogram* latency_ms;
-  obs::Histogram* sample_ms;
-  obs::Histogram* decode_ms;
-  obs::Histogram* handoff_ms;
-  obs::Histogram* stream_ms;
-};
-
-/// Per-deployment copies of the request-path histograms, cached by interned
-/// deployment pointer (same scheme as the batcher's queue/linger cache).
-const DeployServeMetrics* DeployMetricsFor(const char* deployment) {
-  if (deployment == nullptr) return nullptr;
-  static std::mutex mu;
-  static auto* cache = new std::map<const char*, DeployServeMetrics>();
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = cache->find(deployment);
-  if (it == cache->end()) {
-    auto& registry = obs::MetricsRegistry::Global();
-    const std::string prefix = std::string("serve.deploy.") + deployment;
-    DeployServeMetrics m;
-    m.latency_ms = registry.GetHistogram(
-        prefix + ".request_latency_ms",
-        {0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000});
-    m.sample_ms =
-        registry.GetHistogram(prefix + ".sample_ms", ServePhaseBoundsMs());
-    m.decode_ms =
-        registry.GetHistogram(prefix + ".decode_ms", ServePhaseBoundsMs());
-    m.handoff_ms =
-        registry.GetHistogram(prefix + ".handoff_ms", ServePhaseBoundsMs());
-    m.stream_ms =
-        registry.GetHistogram(prefix + ".stream_ms", ServePhaseBoundsMs());
-    it = cache->emplace(deployment, m).first;
-  }
-  return &it->second;
-}
-
-}  // namespace
-
 SynthesisServer::SynthesisServer(ServeOptions options)
     : options_(options), cache_(options.cache) {
   if (options_.stream_chunk_rows < 1) options_.stream_chunk_rows = 1;
@@ -103,35 +28,27 @@ SynthesisServer::SynthesisServer(ServeOptions options)
   if (!options_.flight_dump_dir.empty()) {
     obs::FlightRecorder::Global().SetDumpDir(options_.flight_dump_dir);
   }
-  if (const char* env = std::getenv("SILOFUSE_AUDIT");
-      env != nullptr && *env != '\0') {
-    options_.enable_audit = !(env[0] == '0' && env[1] == '\0');
-  }
+  options_.enable_audit = EnvFlag("SILOFUSE_AUDIT", options_.enable_audit);
   if (const char* env = std::getenv("SILOFUSE_AUDIT_SEED");
       env != nullptr && *env != '\0') {
     options_.audit.seed = std::strtoull(env, nullptr, 0);
   }
   if (options_.flight_trigger_dedup_ns > 0) {
     obs::FlightRecorder::Global().SetTriggerDedup(
-        options_.flight_trigger_dedup_ns,
-        options_.audit_clock != nullptr ? options_.audit_clock
-                                        : options_.slo_clock);
+        options_.flight_trigger_dedup_ns, options_.clock);
   }
   if (options_.enable_audit) {
     auditor_ = std::make_unique<obs::QualityAuditor>(options_.audit,
-                                                     options_.audit_clock);
+                                                     options_.clock);
   }
-  // SILOFUSE_INTROSPECT=<port>|auto|1 forces the introspection plane on
-  // (auto/1 = ephemeral port), 0|off forces it off.
+  // SILOFUSE_INTROSPECT: a flag word forces the introspection plane on or
+  // off, "auto" forces it on, and anything else is the port to bind it on.
   if (const char* env = std::getenv("SILOFUSE_INTROSPECT");
       env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) {
-      options_.enable_introspection = false;
-    } else {
-      options_.enable_introspection = true;
-      if (std::strcmp(env, "auto") != 0 && std::strcmp(env, "1") != 0) {
-        options_.introspection_port = std::atoi(env);
-      }
+    const std::optional<bool> flag = ParseFlag(env);
+    options_.enable_introspection = flag.value_or(true);
+    if (!flag.has_value() && std::strcmp(env, "auto") != 0) {
+      options_.introspection_port = std::atoi(env);
     }
   }
   if (options_.enable_introspection) {
@@ -146,7 +63,7 @@ SynthesisServer::SynthesisServer(ServeOptions options)
     }
   }
   if (options_.enable_slo) {
-    slo_ = std::make_unique<obs::SloMonitor>(options_.slo, options_.slo_clock,
+    slo_ = std::make_unique<obs::SloMonitor>(options_.slo, options_.clock,
                                              "serve.slo");
     slo_->SetOnBreach([](const std::string& reason) {
       auto& flight = obs::FlightRecorder::Global();
@@ -302,9 +219,6 @@ Result<std::vector<Table>> SynthesisServer::RunBatch(
   const uint64_t batch_id =
       static_cast<uint64_t>(obs::CurrentTraceContext().round);
   const char* deployment_tag = obs::InternTraceString(deployment);
-  const ServerMetrics& metrics = Metrics();
-  const DeployServeMetrics* deploy = DeployMetricsFor(deployment_tag);
-  auto& flight = obs::FlightRecorder::Global();
   obs::ContextSpan batch_span("serve.batch");
   int batch_rows = 0;
   for (const RequestBatcher::Request& request : batch) {
@@ -317,11 +231,8 @@ Result<std::vector<Table>> SynthesisServer::RunBatch(
     obs::ContextSpan cache_span("serve.cache_load");
     SF_ASSIGN_OR_RETURN(model, cache_.Get(deployment));
   }
-  const int64_t cache_done_ns = obs::TraceNowNs();
-  metrics.cache_load_ms->Observe(
-      static_cast<double>(cache_done_ns - batch_start_ns) / 1e6);
-  flight.Record(obs::FlightPhase::kCacheLoad, /*request_id=*/0, batch_id,
-                deployment_tag, batch_rows, batch_start_ns, cache_done_ns);
+  RecordPhase(obs::FlightPhase::kCacheLoad, /*request_id=*/0, batch_id,
+              deployment_tag, batch_rows, batch_start_ns, obs::TraceNowNs());
 
   // One private noise stream per request: output i is byte-identical to a
   // solo request with the same seed regardless of batch composition.
@@ -348,20 +259,11 @@ Result<std::vector<Table>> SynthesisServer::RunBatch(
   // wait for the whole pass.
   const int64_t sample_end_ns =
       timing.sample_end_ns > 0 ? timing.sample_end_ns : done_ns;
-  const double sample_ms =
-      static_cast<double>(sample_end_ns - dispatch_ns) / 1e6;
-  const double decode_ms = static_cast<double>(done_ns - sample_end_ns) / 1e6;
   for (const RequestBatcher::Request& request : batch) {
-    metrics.sample_ms->Observe(sample_ms);
-    metrics.decode_ms->Observe(decode_ms);
-    if (deploy != nullptr) {
-      deploy->sample_ms->Observe(sample_ms);
-      deploy->decode_ms->Observe(decode_ms);
-    }
-    flight.Record(obs::FlightPhase::kSample, request.request_id, batch_id,
-                  deployment_tag, request.rows, dispatch_ns, sample_end_ns);
-    flight.Record(obs::FlightPhase::kDecode, request.request_id, batch_id,
-                  deployment_tag, request.rows, sample_end_ns, done_ns);
+    RecordPhase(obs::FlightPhase::kSample, request.request_id, batch_id,
+                deployment_tag, request.rows, dispatch_ns, sample_end_ns);
+    RecordPhase(obs::FlightPhase::kDecode, request.request_id, batch_id,
+                deployment_tag, request.rows, sample_end_ns, done_ns);
     if (request.done_ns != nullptr) *request.done_ns = done_ns;
   }
 
@@ -394,8 +296,9 @@ Result<std::vector<Table>> SynthesisServer::RunBatch(
 
 Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
                                                   const RowChunkSink* sink) {
-  const ServerMetrics& metrics = Metrics();
-  metrics.requests->Increment();
+  static obs::Counter* const requests =
+      obs::MetricsRegistry::Global().GetCounter("serve.requests");
+  requests->Increment();
   if (request.rows <= 0) {
     return Status::InvalidArgument("request rows must be positive");
   }
@@ -424,7 +327,6 @@ Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
       request.params.eta >= 0.0 ? request.params.eta : options_.defaults.eta;
   order.request_id = obs::NextTraceRunId();
   order.deployment = obs::InternTraceString(request.deployment);
-  const DeployServeMetrics* deploy = DeployMetricsFor(order.deployment);
 
   // Request-scoped ambient context on the caller thread; the batcher hands
   // an equivalent context (plus batch id) to the worker side, so both
@@ -435,26 +337,22 @@ Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
   obs::ScopedTraceContext request_scope(request_ctx);
   obs::ContextSpan request_span("serve.request");
 
-  auto& flight = obs::FlightRecorder::Global();
   // Phase boundaries: the latency opens at the queue phase's submit stamp
   // and closes at the end of the last phase (handoff, or stream), so the
-  // phase histograms sum to it exactly.
+  // phases sum to it exactly.
   int64_t batch_done_ns = 0;
   order.submit_ns = obs::TraceNowNs();
   order.done_ns = &batch_done_ns;
   Result<Table> result = BatcherFor(request.deployment)->Submit(order);
-  const int64_t handoff_end_ns = obs::TraceNowNs();
-  int64_t end_ns = handoff_end_ns;
+  int64_t end_ns = obs::TraceNowNs();
   if (result.ok() && batch_done_ns > 0) {
-    const double handoff_ms =
-        static_cast<double>(handoff_end_ns - batch_done_ns) / 1e6;
-    metrics.handoff_ms->Observe(handoff_ms);
-    if (deploy != nullptr) deploy->handoff_ms->Observe(handoff_ms);
+    RecordPhase(obs::FlightPhase::kHandoff, order.request_id, /*batch_id=*/0,
+                order.deployment, order.rows, batch_done_ns, end_ns);
   }
   Status stream_status = Status::OK();
   if (result.ok() && sink != nullptr) {
     obs::ContextSpan stream_span("serve.stream");
-    const int64_t stream_start_ns = handoff_end_ns;
+    const int64_t stream_start_ns = end_ns;
     const Table& table = result.Value();
     // Chunking applies to DELIVERY only: the decode itself must be whole-
     // request (the decoder consumes its rng span-major, so decoding row
@@ -466,21 +364,10 @@ Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
       stream_status = (*sink)(table.SliceRows(start, count));
       if (!stream_status.ok()) break;
     }
-    const int64_t stream_end_ns = obs::TraceNowNs();
-    end_ns = stream_end_ns;
-    const double stream_ms =
-        static_cast<double>(stream_end_ns - stream_start_ns) / 1e6;
-    metrics.stream_ms->Observe(stream_ms);
-    if (deploy != nullptr) deploy->stream_ms->Observe(stream_ms);
-    flight.Record(obs::FlightPhase::kStream, order.request_id, /*batch_id=*/0,
-                  order.deployment, table.num_rows(), stream_start_ns,
-                  stream_end_ns);
+    end_ns = obs::TraceNowNs();
+    RecordPhase(obs::FlightPhase::kStream, order.request_id, /*batch_id=*/0,
+                order.deployment, table.num_rows(), stream_start_ns, end_ns);
   }
-  const double latency_ms =
-      static_cast<double>(end_ns - order.submit_ns) / 1e6;
-  metrics.latency_ms->Observe(latency_ms);
-  if (deploy != nullptr) deploy->latency_ms->Observe(latency_ms);
-  if (result.ok()) metrics.rows->Add(request.rows);
 
   // SLO filing: everything past validation counts. Backpressure sheds are
   // kRejected (they consume error budget but are not server faults);
@@ -493,8 +380,8 @@ Result<Table> SynthesisServer::SynthesizeInternal(const ServeRequest& request,
   } else if (!stream_status.ok()) {
     outcome = obs::SloOutcome::kError;
   }
-  if (outcome == obs::SloOutcome::kError) metrics.errors->Increment();
-  if (slo_ != nullptr) slo_->Record(latency_ms, outcome);
+  RecordRequestEnd(order.deployment, result.ok() ? request.rows : 0,
+                   order.submit_ns, end_ns, outcome, slo_.get());
 
   if (!stream_status.ok()) return stream_status;
   return result;

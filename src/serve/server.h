@@ -51,9 +51,11 @@ struct ServeOptions {
   /// entering breach triggers a flight-recorder dump ("slo_breach").
   bool enable_slo = false;
   obs::SloOptions slo;
-  /// Time source for the SLO monitor's rolling windows (tests inject a
-  /// VirtualClock to script breaches deterministically); nullptr = system.
-  Clock* slo_clock = nullptr;
+  /// Time source for the SLO monitor's rolling windows, audit pacing and
+  /// quality-breach windows, and the flight-recorder trigger dedup (tests
+  /// inject a VirtualClock to script breaches deterministically); nullptr =
+  /// system.
+  Clock* clock = nullptr;
   /// Non-empty: forwarded to FlightRecorder::Global().SetDumpDir at
   /// construction, so breach/abort dumps have somewhere to land.
   std::string flight_dump_dir;
@@ -62,13 +64,10 @@ struct ServeOptions {
   /// and scored against the checkpoint's training-time ReferenceStats,
   /// publishing audit.<deployment>.* gauges and firing a flight-recorder
   /// dump ("quality_breach") on sustained quality breaches. Env override:
-  /// SILOFUSE_AUDIT=1/0 forces it on/off, SILOFUSE_AUDIT_SEED reseeds the
-  /// sampling streams.
+  /// SILOFUSE_AUDIT=1/0 (or on/off, true/false, yes/no) forces it on/off,
+  /// SILOFUSE_AUDIT_SEED reseeds the sampling streams.
   bool enable_audit = false;
   obs::QualityAuditOptions audit;
-  /// Time source for audit pacing and quality-breach windows (tests inject
-  /// a VirtualClock); nullptr = system.
-  Clock* audit_clock = nullptr;
   /// > 0 arms FlightRecorder trigger dedup with this window, so an SLO
   /// breach and a quality breach tripping on the same incident write one
   /// dump, not two (the second is counted as flight.dump_skipped).
@@ -79,8 +78,9 @@ struct ServeOptions {
   /// rendered DebugSnapshot). Windowed rates are the client's job: sf_top
   /// differences consecutive scrapes. Scrapes only READ process state; the
   /// serving data plane never waits on the endpoint. Env override:
-  /// SILOFUSE_INTROSPECT=<port> forces it on at that port ("auto" or "1"
-  /// picks an ephemeral port; "0" or "off" forces it off).
+  /// SILOFUSE_INTROSPECT=<port> forces it on at that port ("auto" or an on
+  /// word — 1/on/true/yes — keeps introspection_port; an off word —
+  /// 0/off/false/no — forces it off).
   bool enable_introspection = false;
   /// TCP port for the endpoint; 0 = ephemeral (read back with
   /// IntrospectionPort()).
@@ -126,11 +126,12 @@ std::string RenderStatusz(const ServerDebugSnapshot& snapshot);
 /// Metrics: counters serve.requests, serve.rows, serve.rejected,
 /// serve.errors; histogram serve.request_latency_ms decomposed by the
 /// phase histograms serve.queue_ms + serve.linger_ms + serve.sample_ms +
-/// serve.decode_ms + serve.handoff_ms + serve.stream_ms (per-deployment
-/// copies under serve.deploy.<name>.*, cache fetch detail in
-/// serve.cache_load_ms — the fetch itself is part of the sample segment).
-/// Adjacent phases share their boundary stamps, so a request's phases sum
-/// to its latency exactly; serve.batch.* / serve.cache.* from the batcher
+/// serve.decode_ms + serve.handoff_ms + serve.stream_ms (cache fetch detail
+/// in serve.cache_load_ms — the fetch itself is part of the sample
+/// segment), all written by RecordPhase/RecordRequestEnd with
+/// per-deployment copies under serve.deploy.<name>.*. Adjacent phases share
+/// their boundary stamps, so a request's phases (and its flight events)
+/// sum to its latency exactly; serve.batch.* / serve.cache.* from the batcher
 /// and cache; serve.slo.* when SLO monitoring is enabled. Every request is
 /// also traced (serve.request/serve.dispatch/serve.batch spans with flow
 /// arrows) and recorded in the always-on flight recorder

@@ -1,8 +1,8 @@
 #include "tensor/mem_stats.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/string_util.h"
 
 namespace silofuse {
 namespace memstats {
@@ -31,10 +31,7 @@ void SetEnabled(bool enabled) {
 }
 
 void ReinitFromEnv() {
-  const char* v = std::getenv("SILOFUSE_MEM_STATS");
-  const bool on = v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0 &&
-                  std::strcmp(v, "off") != 0 && std::strcmp(v, "false") != 0;
-  SetEnabled(on);
+  SetEnabled(EnvFlag("SILOFUSE_MEM_STATS", false));
 }
 
 void RecordAlloc(size_t bytes) {

@@ -23,7 +23,8 @@ bool Enabled();
 /// before enabling free without going negative — see LiveBytes).
 void SetEnabled(bool enabled);
 
-/// Applies SILOFUSE_MEM_STATS (truthy = on). The normal lazy env read runs
+/// Applies SILOFUSE_MEM_STATS (EnvFlag vocabulary; unset or not a flag word
+/// = off). The normal lazy env read runs
 /// once at static init; tests that setenv() later call this.
 void ReinitFromEnv();
 

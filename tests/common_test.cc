@@ -1,3 +1,6 @@
+#include <cstdlib>
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
@@ -171,6 +174,38 @@ TEST(StringUtilTest, ParseDoubleRejectsInvalid) {
   EXPECT_FALSE(ParseDouble("1.2x", &v));
   EXPECT_FALSE(ParseDouble("nan", &v));
   EXPECT_FALSE(ParseDouble("inf", &v));
+}
+
+TEST(StringUtilTest, ParseFlagVocabulary) {
+  const struct {
+    const char* text;
+    std::optional<bool> flag;
+  } kCases[] = {
+      {"1", true},      {"on", true},       {"true", true},
+      {"yes", true},    {"TRUE", true},     {"Yes", true},
+      {"0", false},     {"off", false},     {"false", false},
+      {"no", false},    {"OFF", false},     {"No", false},
+      {"", std::nullopt}, {"2", std::nullopt}, {"auto", std::nullopt},
+      {"none", std::nullopt}, {"8080", std::nullopt}, {" on", std::nullopt},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(ParseFlag(c.text), c.flag) << "'" << c.text << "'";
+  }
+}
+
+TEST(StringUtilTest, EnvFlagFallsBackWhenUnsetOrNotAFlag) {
+  constexpr char kName[] = "SILOFUSE_COMMON_TEST_FLAG";
+  ::unsetenv(kName);
+  EXPECT_TRUE(EnvFlag(kName, true));
+  EXPECT_FALSE(EnvFlag(kName, false));
+  ::setenv(kName, "off", 1);
+  EXPECT_FALSE(EnvFlag(kName, true));
+  ::setenv(kName, "yes", 1);
+  EXPECT_TRUE(EnvFlag(kName, false));
+  ::setenv(kName, "maybe", 1);
+  EXPECT_TRUE(EnvFlag(kName, true));
+  EXPECT_FALSE(EnvFlag(kName, false));
+  ::unsetenv(kName);
 }
 
 TEST(LoggingTest, LevelRoundTrip) {

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <memory>
 #include <string>
@@ -682,8 +684,12 @@ TEST_F(ServeTest, PhaseHistogramsSumToRequestLatency) {
   // Regression guard on the phase decomposition: queue + linger + sample +
   // decode + handoff (+ stream for streamed requests) must tile the request
   // latency. Adjacent phases share their boundary stamps, so the totals
-  // agree up to floating-point rounding.
+  // agree up to floating-point rounding, and each request's flight events
+  // chain end to start from its submit stamp on.
   obs::MetricsRegistry::Global().Reset();
+  auto& flight = obs::FlightRecorder::Global();
+  flight.SetEnabled(true);
+  flight.Clear();
   ServeOptions options;
   options.batcher.max_linger_us = 2000;
   options.stream_chunk_rows = 4;
@@ -741,6 +747,50 @@ TEST_F(ServeTest, PhaseHistogramsSumToRequestLatency) {
   const double latency_sum = total("serve.request_latency_ms");
   ASSERT_GT(latency_sum, 0.0);
   EXPECT_NEAR(phase_sum, latency_sum, 0.01 * kRequests);
+
+  // Every batch fetched its model once, in both the process-wide and the
+  // per-deployment cache_load histogram.
+  const int64_t batches = count("serve.batch.requests");
+  EXPECT_GT(batches, 0);
+  EXPECT_EQ(count("serve.cache_load_ms"), batches);
+  EXPECT_EQ(count("serve.deploy.loan.cache_load_ms"), batches);
+
+  // The flight recorder holds the same decomposition per request: the
+  // instant enqueue at submit, then queue, linger, sample, decode, handoff
+  // and (streamed requests only) stream, each starting where the previous
+  // one ended.
+  const obs::FlightPhase kChain[] = {
+      obs::FlightPhase::kEnqueue, obs::FlightPhase::kQueue,
+      obs::FlightPhase::kLinger,  obs::FlightPhase::kSample,
+      obs::FlightPhase::kDecode,  obs::FlightPhase::kHandoff,
+      obs::FlightPhase::kStream};
+  std::map<uint64_t, std::map<obs::FlightPhase, obs::FlightEvent>> chains;
+  for (const obs::FlightEvent& event : flight.Snapshot()) {
+    if (event.request_id == 0) continue;  // batch-scoped (cache_load)
+    EXPECT_TRUE(chains[event.request_id].emplace(event.phase, event).second)
+        << "request " << event.request_id << " recorded "
+        << obs::FlightPhaseName(event.phase) << " twice";
+  }
+  ASSERT_EQ(chains.size(), static_cast<size_t>(kRequests));
+  int streamed = 0;
+  for (const auto& [request_id, phases] : chains) {
+    const bool stream = phases.count(obs::FlightPhase::kStream) > 0;
+    streamed += stream ? 1 : 0;
+    const size_t length = std::size(kChain) - (stream ? 0 : 1);
+    ASSERT_EQ(phases.size(), length) << "request " << request_id;
+    for (size_t i = 0; i + 1 < length; ++i) {
+      const auto from = phases.find(kChain[i]);
+      const auto to = phases.find(kChain[i + 1]);
+      ASSERT_NE(from, phases.end()) << obs::FlightPhaseName(kChain[i]);
+      ASSERT_NE(to, phases.end()) << obs::FlightPhaseName(kChain[i + 1]);
+      EXPECT_EQ(from->second.end_ns, to->second.start_ns)
+          << "request " << request_id << ": "
+          << obs::FlightPhaseName(kChain[i]) << " -> "
+          << obs::FlightPhaseName(kChain[i + 1]);
+    }
+  }
+  EXPECT_EQ(streamed, kPerThread);
+  flight.Clear();
 }
 
 TEST_F(ServeTest, SloBreachDumpsFlightRecordingWithRequestSpans) {
@@ -759,7 +809,7 @@ TEST_F(ServeTest, SloBreachDumpsFlightRecordingWithRequestSpans) {
   options.slo.latency_objective_ms = 0.0;  // any real latency is SLO-bad
   options.slo.min_requests = 1;
   options.slo.burn_rate_threshold = 1.0;
-  options.slo_clock = &clock;
+  options.clock = &clock;
   options.flight_dump_dir = ::testing::TempDir();
   SynthesisServer server(options);
   ASSERT_TRUE(server.RegisterDeployment("loan", checkpoint_path_).ok());
@@ -982,7 +1032,7 @@ TEST_F(ServeTest, CorruptedCheckpointTripsQualityBreachWithFlightDump) {
   options.audit.audit_period_ns = 1;
   options.audit.min_audit_rows = 16;
   options.audit.breach.min_requests = 2;
-  options.audit_clock = &clock;
+  options.clock = &clock;
   options.flight_dump_dir = ::testing::TempDir();
   SynthesisServer server(options);
   ASSERT_TRUE(server.RegisterDeployment("corrupt", corrupt_path).ok());
@@ -1242,15 +1292,31 @@ TEST_F(ServeTest, EveryRegistryNameFromTrainAndServeIsValid) {
   EXPECT_GT(checked, 20);
 }
 
-// SILOFUSE_INTROSPECT overrides ServeOptions in both directions.
+// SILOFUSE_INTROSPECT and SILOFUSE_AUDIT override ServeOptions in both
+// directions, and every off word of the flag vocabulary turns them off.
 TEST_F(ServeTest, IntrospectEnvOverridesServeOptions) {
-  {
-    ::setenv("SILOFUSE_INTROSPECT", "0", 1);
+  for (const char* off : {"0", "off", "false"}) {
+    ::setenv("SILOFUSE_INTROSPECT", off, 1);
     ServeOptions options;
     options.enable_introspection = true;
     SynthesisServer server(options);
-    EXPECT_EQ(server.IntrospectionPort(), -1);
+    EXPECT_EQ(server.IntrospectionPort(), -1) << off;
   }
+  for (const char* off : {"off", "false", "no"}) {
+    ::setenv("SILOFUSE_AUDIT", off, 1);
+    ServeOptions options;
+    options.enable_audit = true;
+    SynthesisServer server(options);
+    EXPECT_EQ(server.auditor(), nullptr) << off;
+  }
+  {
+    ::setenv("SILOFUSE_AUDIT", "on", 1);
+    ServeOptions options;  // auditing off by default
+    options.audit.start_worker = false;
+    SynthesisServer server(options);
+    EXPECT_NE(server.auditor(), nullptr);
+  }
+  ::unsetenv("SILOFUSE_AUDIT");
   {
     ::setenv("SILOFUSE_INTROSPECT", "auto", 1);
     ServeOptions options;  // introspection off by default
