@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -53,8 +54,54 @@ namespace {
 constexpr int kConcurrency = 8;
 constexpr int kRowsPerRequest = 4;
 constexpr int kRequestsPerClient = 2;  // closed loop and recorder bursts
-constexpr int kPairs = 10;  // off/on pairs per probe; even, so each order runs 5x
+// Off/on pairs per probe; even, so each order runs kPairs / 2 times. One
+// pair's overhead spreads by 5-15 points on a shared 4-vCPU host, so the
+// Q1 of 10 pairs swung by several points between runs of unchanged code and
+// tripped the 2-point gate; 80 pairs cut its standard error ~2.8x.
+constexpr int kPairs = 80;
 constexpr double kOverheadBudgetPct = 2.0;
+
+// The kConcurrency client threads of every burst, started once. A burst
+// then times requests, not thread start-up: the first flight event a thread
+// records allocates that thread's 256 KiB ring, which is never freed, so
+// threads started per burst made each on-burst of the recorder probe pay
+// for 8 new rings and grew the process by ~2 MB per burst.
+class ClientCrew {
+ public:
+  ClientCrew() {
+    for (int c = 0; c < kConcurrency; ++c) {
+      threads_.emplace_back([this, c] {
+        while (true) {
+          start_.arrive_and_wait();
+          if (stop_) return;
+          (*client_)(c);
+          done_.arrive_and_wait();
+        }
+      });
+    }
+  }
+  ~ClientCrew() {
+    stop_ = true;
+    start_.arrive_and_wait();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  // Runs client(c) on client thread c, for every c at once, and returns
+  // when all have returned.
+  void RunBurst(const std::function<void(int)>& client) {
+    client_ = &client;
+    start_.arrive_and_wait();
+    done_.arrive_and_wait();
+  }
+
+ private:
+  // Written only between bursts; the barriers order them with the clients.
+  const std::function<void(int)>* client_ = nullptr;
+  bool stop_ = false;
+  std::barrier<> start_{kConcurrency + 1};
+  std::barrier<> done_{kConcurrency + 1};
+  std::vector<std::thread> threads_;
+};
 
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -95,7 +142,8 @@ struct ClosedLoopResult {
   bool bytes_identical = true;
 };
 
-ClosedLoopResult RunClosedLoop(SiloFuse* model, SynthesisServer* server) {
+ClosedLoopResult RunClosedLoop(SiloFuse* model, SynthesisServer* server,
+                               ClientCrew* crew) {
   ClosedLoopResult result;
   result.requests = kConcurrency * kRequestsPerClient;
   const SamplingParams serving = server->options().defaults;
@@ -119,26 +167,21 @@ ClosedLoopResult RunClosedLoop(SiloFuse* model, SynthesisServer* server) {
   // Coalesced: 8 closed-loop clients through the batching server.
   std::vector<std::vector<Table>> responses(kConcurrency);
   const auto coalesced_start = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(kConcurrency);
-  for (int c = 0; c < kConcurrency; ++c) {
-    clients.emplace_back([c, server, &responses] {
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        ServeRequest request;
-        request.deployment = "bench";
-        request.rows = kRowsPerRequest;
-        request.seed = 10000 + static_cast<uint64_t>(c * kRequestsPerClient + r);
-        auto response = server->Synthesize(request);
-        if (!response.ok()) {
-          std::cerr << "served synthesis failed: "
-                    << response.status().ToString() << "\n";
-          std::exit(1);
-        }
-        responses[c].push_back(std::move(response).Value());
+  crew->RunBurst([server, &responses](int c) {
+    for (int r = 0; r < kRequestsPerClient; ++r) {
+      ServeRequest request;
+      request.deployment = "bench";
+      request.rows = kRowsPerRequest;
+      request.seed = 10000 + static_cast<uint64_t>(c * kRequestsPerClient + r);
+      auto response = server->Synthesize(request);
+      if (!response.ok()) {
+        std::cerr << "served synthesis failed: "
+                  << response.status().ToString() << "\n";
+        std::exit(1);
       }
-    });
-  }
-  for (std::thread& client : clients) client.join();
+      responses[c].push_back(std::move(response).Value());
+    }
+  });
   result.coalesced_total_ms = ElapsedMs(coalesced_start);
 
   for (int c = 0; c < kConcurrency; ++c) {
@@ -158,17 +201,18 @@ ClosedLoopResult RunClosedLoop(SiloFuse* model, SynthesisServer* server) {
   return result;
 }
 
-// One side of an overhead A/B: the server a burst runs against and the
-// deployment it requests.
+// One side of an overhead A/B: the server a burst runs against, the
+// deployment it requests and the clients that send.
 struct AbSide {
   SynthesisServer* server;
   std::string deployment;
+  ClientCrew* crew;
 };
 
 // Registers `checkpoint` as `deployment` and serves one request, so the
 // side's first measured burst does not pay the lazy model load.
 AbSide WarmSide(SynthesisServer* server, const std::string& deployment,
-                const std::string& checkpoint, uint64_t seed) {
+                const std::string& checkpoint, uint64_t seed, ClientCrew* crew) {
   ServeRequest warm;
   warm.deployment = deployment;
   warm.rows = kRowsPerRequest;
@@ -178,7 +222,7 @@ AbSide WarmSide(SynthesisServer* server, const std::string& deployment,
     std::cerr << "overhead probe: cannot serve " << deployment << "\n";
     std::exit(1);
   }
-  return {server, deployment};
+  return {server, deployment, crew};
 }
 
 // One coalesced closed-loop burst (no serial baseline, no byte compare):
@@ -186,23 +230,18 @@ AbSide WarmSide(SynthesisServer* server, const std::string& deployment,
 double CoalescedRowsPerSec(const AbSide& side, int requests_per_client) {
   const int requests = kConcurrency * requests_per_client;
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  clients.reserve(kConcurrency);
-  for (int c = 0; c < kConcurrency; ++c) {
-    clients.emplace_back([c, &side, requests_per_client] {
-      for (int r = 0; r < requests_per_client; ++r) {
-        ServeRequest request;
-        request.deployment = side.deployment;
-        request.rows = kRowsPerRequest;
-        request.seed = 30000 + static_cast<uint64_t>(c * requests_per_client + r);
-        if (!side.server->Synthesize(request).ok()) {
-          std::cerr << "overhead probe request failed\n";
-          std::exit(1);
-        }
+  side.crew->RunBurst([&side, requests_per_client](int c) {
+    for (int r = 0; r < requests_per_client; ++r) {
+      ServeRequest request;
+      request.deployment = side.deployment;
+      request.rows = kRowsPerRequest;
+      request.seed = 30000 + static_cast<uint64_t>(c * requests_per_client + r);
+      if (!side.server->Synthesize(request).ok()) {
+        std::cerr << "overhead probe request failed\n";
+        std::exit(1);
       }
-    });
-  }
-  for (std::thread& client : clients) client.join();
+    }
+  });
   const double wall_ms = ElapsedMs(start);
   return static_cast<double>(requests) * kRowsPerRequest / (wall_ms / 1000.0);
 }
@@ -251,11 +290,12 @@ OverheadResult MeasureOverhead(const AbSide& off, const AbSide& on,
 }
 
 // Flight recorder: one server, the recorder switched on for each on-burst.
-OverheadResult MeasureRecorderOverhead(SynthesisServer* server) {
+OverheadResult MeasureRecorderOverhead(SynthesisServer* server,
+                                       ClientCrew* crew) {
   auto& flight = obs::FlightRecorder::Global();
   const bool was_enabled = flight.enabled();
   flight.SetEnabled(false);
-  const AbSide side{server, "bench"};
+  const AbSide side{server, "bench", crew};
   const OverheadResult result = MeasureOverhead(
       side, side, kRequestsPerClient, [&] { flight.SetEnabled(true); },
       [&] { flight.SetEnabled(false); });
@@ -269,7 +309,8 @@ OverheadResult MeasureRecorderOverhead(SynthesisServer* server) {
 // setting, so the budget bounds the realistic cost from above). on_events
 // counts the scoring passes the audited server completed.
 OverheadResult MeasureAuditOverhead(const ServeOptions& plain,
-                                    const std::string& checkpoint) {
+                                    const std::string& checkpoint,
+                                    ClientCrew* crew) {
   ServeOptions audited = plain;
   audited.enable_audit = true;
   audited.audit.audit_period_ns = 20LL * 1000 * 1000;   // score every 20 ms
@@ -278,8 +319,8 @@ OverheadResult MeasureAuditOverhead(const ServeOptions& plain,
   SynthesisServer off_server(plain);
   SynthesisServer on_server(audited);
   OverheadResult result = MeasureOverhead(
-      WarmSide(&off_server, "bench_audit_off", checkpoint, 2),
-      WarmSide(&on_server, "bench_audit_on", checkpoint, 2),
+      WarmSide(&off_server, "bench_audit_off", checkpoint, 2, crew),
+      WarmSide(&on_server, "bench_audit_on", checkpoint, 2, crew),
       kRequestsPerClient * 3);
   for (const auto& row : on_server.DebugSnapshot().audit) {
     result.on_events += row.audits;
@@ -296,7 +337,8 @@ OverheadResult MeasureAuditOverhead(const ServeOptions& plain,
 // always-on scraper would burn CPU during the off-bursts too and mask the
 // very overhead being measured. on_events counts the /metrics responses.
 OverheadResult MeasureIntrospectOverhead(const ServeOptions& plain,
-                                         const std::string& checkpoint) {
+                                         const std::string& checkpoint,
+                                         ClientCrew* crew) {
   ServeOptions introspected = plain;
   introspected.enable_introspection = true;
   introspected.introspection_port = 0;  // ephemeral
@@ -312,8 +354,8 @@ OverheadResult MeasureIntrospectOverhead(const ServeOptions& plain,
   int64_t scrapes = 0;
   std::thread scraper;
   OverheadResult result = MeasureOverhead(
-      WarmSide(&off_server, "bench_intro_off", checkpoint, 3),
-      WarmSide(&on_server, "bench_intro_on", checkpoint, 3),
+      WarmSide(&off_server, "bench_intro_off", checkpoint, 3, crew),
+      WarmSide(&on_server, "bench_intro_on", checkpoint, 3, crew),
       kRequestsPerClient * 6,
       [&] {
         scraping.store(true, std::memory_order_relaxed);
@@ -409,7 +451,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const ClosedLoopResult closed = RunClosedLoop(&model, &server);
+  ClientCrew crew;
+  const ClosedLoopResult closed = RunClosedLoop(&model, &server, &crew);
   std::cout << "  closed loop (" << closed.requests << " requests): serial "
             << closed.serial_total_ms << " ms, coalesced "
             << closed.coalesced_total_ms << " ms  ->  x" << closed.speedup
@@ -419,16 +462,17 @@ int main(int argc, char** argv) {
     std::cerr << "BYTE MISMATCH: coalesced responses differ from solo runs\n";
   }
 
-  ok &= ReportOverhead("flight recorder", MeasureRecorderOverhead(&server),
-                       nullptr);
+  ok &= ReportOverhead("flight recorder",
+                       MeasureRecorderOverhead(&server, &crew), nullptr);
   // The auditor and introspection probes get 3x and 6x longer bursts: they
   // compare a 0-2% effect against scheduler noise, and their on-side work
   // runs on a period (20 ms audits, 100 ms scrapes) a short burst would miss.
   ok &= ReportOverhead("quality auditor",
-                       MeasureAuditOverhead(serve_options, checkpoint),
+                       MeasureAuditOverhead(serve_options, checkpoint, &crew),
                        "audits");
   ok &= ReportOverhead("introspection",
-                       MeasureIntrospectOverhead(serve_options, checkpoint),
+                       MeasureIntrospectOverhead(serve_options, checkpoint,
+                                                 &crew),
                        "scrapes");
   std::remove(checkpoint.c_str());
   return ok ? 0 : 1;

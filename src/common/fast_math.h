@@ -13,15 +13,15 @@ namespace fastmath {
 // identical bits whether the compiler runs it in a SIMD lane or a scalar
 // epilogue, and regardless of how many rows share the pass. That
 // determinism is load-bearing: the serving layer promises that a row
-// sampled inside a coalesced batch matches the same row sampled solo.
+// sampled inside a coalesced batch matches the same row sampled solo, and
+// training promises the same bytes at any thread count.
 //
-// INFERENCE ONLY. The approximation differs from libm by a few ulps (and
-// its clamped tail never reaches exactly +/-1), so the training path —
-// training forward and the gradient — stays on std::tanh to
-// keep training trajectories, recorded baselines, and checkpoints
-// bit-identical to the pre-approximation numerics. Shared between
-// nn/activations.cc and the tensor GEMM gelu epilogue, which must agree
-// bit-for-bit so fused and unfused inference match exactly.
+// The one tanh of every GELU: the training forward (value and dy/dx), the
+// inference forward and the tensor GEMM gelu epilogue all evaluate
+// GeluWithGrad below, so a model is served with the activation it was
+// trained with, and fused and unfused inference agree bit for bit. At the
+// clamp it rounds to exactly +/-1, so the GELU of a large x is exactly x
+// (exactly -0 for a large negative x).
 inline float FastTanh(float x) {
   const float c = std::min(9.0f, std::max(-9.0f, x));
   const float x2 = c * c;
@@ -41,14 +41,28 @@ inline float FastTanh(float x) {
   return p / q;
 }
 
-// Inference GELU (tanh approximation) on FastTanh. Bit-identical to
-// nn GeluScalar — both are this function.
-inline float GeluFast(float x) {
+// A GELU value and its derivative, from one FastTanh.
+struct GeluPoint {
+  float value;
+  float grad;
+};
+
+// GELU, tanh approximation: y = x/2 * (1 + tanh(u)), u = sqrt(2/pi) *
+// (x + 0.044715 x^3), and dy/dx = (1 + t)/2 + x/2 * (1 - t^2) * du/dx. A
+// caller that reads only `value` compiles to GeluFast's loop: the unread
+// derivative is dead code, and the value's arithmetic does not depend on it.
+inline GeluPoint GeluWithGrad(float x) {
   constexpr float kGeluCoef = 0.7978845608028654f;  // sqrt(2/pi)
   constexpr float kGeluCubic = 0.044715f;
-  const float inner = kGeluCoef * (x + kGeluCubic * x * x * x);
-  return 0.5f * x * (1.0f + FastTanh(inner));
+  const float u = kGeluCoef * (x + kGeluCubic * x * x * x);
+  const float t = FastTanh(u);
+  const float du = kGeluCoef * (1.0f + 3.0f * kGeluCubic * x * x);
+  return {0.5f * x * (1.0f + t),
+          0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du};
 }
+
+// GeluWithGrad's value alone: the inference forward and the GEMM epilogue.
+inline float GeluFast(float x) { return GeluWithGrad(x).value; }
 
 }  // namespace fastmath
 }  // namespace silofuse

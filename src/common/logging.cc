@@ -5,17 +5,14 @@
 #include <iostream>
 #include <mutex>
 
+#include "common/string_util.h"
+
 namespace silofuse {
 namespace {
 
-LogLevel InitialLevel() {
-  if (std::getenv("SILOFUSE_QUIET") != nullptr) return LogLevel::kWarning;
-  if (std::getenv("SILOFUSE_VERBOSE") != nullptr) return LogLevel::kDebug;
-  return LogLevel::kInfo;
-}
-
 LogLevel& MutableLevel() {
-  static LogLevel level = InitialLevel();
+  static LogLevel level = InitialLogLevel(std::getenv("SILOFUSE_QUIET"),
+                                          std::getenv("SILOFUSE_VERBOSE"));
   return level;
 }
 
@@ -105,7 +102,18 @@ LogSink*& ActiveSink() {
   return sink;
 }
 
+// EnvFlag's reading of one switch's value.
+bool SwitchOn(const char* value) {
+  return value != nullptr && ParseFlag(value).value_or(false);
+}
+
 }  // namespace
+
+LogLevel InitialLogLevel(const char* quiet, const char* verbose) {
+  if (SwitchOn(quiet)) return LogLevel::kWarning;
+  if (SwitchOn(verbose)) return LogLevel::kDebug;
+  return LogLevel::kInfo;
+}
 
 LogLevel GetLogLevel() { return MutableLevel(); }
 

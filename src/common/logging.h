@@ -13,9 +13,15 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 LogLevel GetLogLevel();
 
 /// Sets the process-wide minimum level emitted by SF_LOG. Messages below the
-/// level are discarded. Default is kInfo (kWarning when the environment
-/// variable SILOFUSE_QUIET is set).
+/// level are discarded. Default is InitialLogLevel of the environment.
 void SetLogLevel(LogLevel level);
+
+/// The default level for the values of SILOFUSE_QUIET and SILOFUSE_VERBOSE
+/// (null when unset), each read as an EnvFlag switch that defaults to off:
+/// kWarning when quiet is on, else kDebug when verbose is on, else kInfo.
+/// An off word or a value outside the flag vocabulary leaves a switch off.
+/// Exposed for tests.
+LogLevel InitialLogLevel(const char* quiet, const char* verbose);
 
 /// One fully formatted log statement, handed to the active sink.
 struct LogRecord {

@@ -9,16 +9,18 @@
 namespace silofuse {
 namespace {
 
-constexpr float kGeluCoef = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluCubic = 0.044715f;
-
 // Approximate per-element costs (ns) for the runtime's cost-based dispatch.
 // Transcendental-heavy kernels (libm tanh/exp) are an order of magnitude
 // pricier than the polynomial FastTanh or a compare, so they fan out on
 // much smaller matrices — while cheap ones stay off the pool entirely
 // until they are big enough to amortize task overhead.
 constexpr double kNsPerElemCheap = 0.5;   // compares, one-multiply grads
-constexpr double kNsPerElemFast = 2.0;    // FastTanh gelu
+constexpr double kNsPerElemFast = 2.0;    // inference FastTanh gelu
+// Training GELU: the vectorized GeluWithGrad loop writing y and dy/dx read
+// 0.57-0.66 ns per element on one thread (128^2 to 512^2, 4-vCPU AVX-512
+// Xeon), so a 128x128 batch (~11 us) runs inline and only matrices of
+// ~167 K elements or more fan out.
+constexpr double kNsPerElemGeluTrain = 0.6;
 constexpr double kNsPerElemLibm = 15.0;   // std::tanh / std::exp per element
 
 // Runs fn(lo, hi) over [0, n); the runtime decides serial vs pool from the
@@ -26,34 +28,6 @@ constexpr double kNsPerElemLibm = 15.0;   // std::tanh / std::exp per element
 template <typename Fn>
 void ForActivation(size_t n, double ns_per_elem, Fn&& fn) {
   ParallelForCost(0, static_cast<int64_t>(n), ns_per_elem, fn);
-}
-
-}  // namespace
-
-// The FastTanh rational approximation and its inference GELU moved to
-// common/fast_math.h so the tensor GEMM gelu epilogue shares the exact
-// same bits (fused vs unfused inference must match bit-for-bit). The
-// determinism contract — plain float fma arithmetic, inference only,
-// training stays on libm tanh — is documented there.
-float GeluScalar(float x) { return fastmath::GeluFast(x); }
-
-namespace {
-
-// The training GELU's value and its exact derivative, from one libm tanh.
-// GeluTrainScalar, GeluGradScalar and the training Forward all read this
-// one body, so the forward, the cached derivative and the scalar
-// definitions the tests compare against cannot drift apart.
-struct GeluTrainPoint {
-  float value;
-  float grad;
-};
-
-inline GeluTrainPoint GeluTrain(float x) {
-  const float u = kGeluCoef * (x + kGeluCubic * x * x * x);
-  const float t = std::tanh(u);
-  const float du = kGeluCoef * (1.0f + 3.0f * kGeluCubic * x * x);
-  return {0.5f * x * (1.0f + t),
-          0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du};
 }
 
 // Backward reads a cache the training Forward filled; a gradient of any
@@ -81,20 +55,17 @@ Matrix ApplyFast(const Matrix& input, double ns_per_elem, Fn fn) {
 
 }  // namespace
 
-float GeluTrainScalar(float x) { return GeluTrain(x).value; }
-
-float GeluGradScalar(float x) { return GeluTrain(x).grad; }
-
 Matrix Gelu::Forward(const Matrix& input, Rng* train_rng) {
   if (train_rng == nullptr) {
     // Inference (sampling, serving): no cache, and the lambda (not a raw
-    // function pointer) lets the compiler inline GeluScalar into the
+    // function pointer) lets the compiler inline GeluFast into the
     // elementwise loop and vectorize FastTanh.
     return ApplyFast(input, kNsPerElemFast,
-                     [](float v) { return GeluScalar(v); });
+                     [](float v) { return fastmath::GeluFast(v); });
   }
-  // Training: one libm tanh per element yields both the output and the
-  // derivative Backward needs, so the cache holds dy/dx, not the input.
+  // Training: one FastTanh per element yields both the output (the bits an
+  // inference forward gives) and the derivative Backward needs, so the
+  // cache holds dy/dx, not the input.
   // The long-lived cache is allocated before the short-lived output: the
   // other order leaves the output's freed block under the cache, which
   // raised the pipeline's peak RSS by ~0.4 MB.
@@ -106,9 +77,10 @@ Matrix Gelu::Forward(const Matrix& input, Rng* train_rng) {
   const float* x = input.data();
   float* y = out.data();
   float* d = cached_grad_.data();
-  ForActivation(out.size(), kNsPerElemLibm, [x, y, d](int64_t lo, int64_t hi) {
+  ForActivation(out.size(), kNsPerElemGeluTrain,
+                [x, y, d](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      const GeluTrainPoint p = GeluTrain(x[i]);
+      const fastmath::GeluPoint p = fastmath::GeluWithGrad(x[i]);
       y[i] = p.value;
       d[i] = p.grad;
     }

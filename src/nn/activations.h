@@ -6,8 +6,11 @@
 namespace silofuse {
 
 /// GELU with the tanh approximation (used by the paper's autoencoders and
-/// diffusion backbone). The training Forward caches dy/dx, computed from
-/// the same tanh as y, so Backward is one multiply per element.
+/// diffusion backbone). Every forward is fastmath::GeluWithGrad
+/// (common/fast_math.h), the body the fused GEMM epilogue evaluates too, so
+/// training, inference and `Linear::ForwardFusedGelu` give the same bits.
+/// The training Forward writes y and caches dy/dx from one FastTanh per
+/// element, so Backward is one multiply per element.
 class Gelu : public Module {
  public:
   const char* TypeName() const override { return "gelu"; }
@@ -16,7 +19,7 @@ class Gelu : public Module {
   void Seal() override { cached_grad_ = Matrix(); }
 
  private:
-  Matrix cached_grad_;  // GeluGradScalar(x) of the last training input
+  Matrix cached_grad_;  // dy/dx at the last training input
 };
 
 class Relu : public Module {
@@ -67,17 +70,6 @@ class Sigmoid : public Module {
  private:
   Matrix cached_output_;
 };
-
-/// Elementwise GELU (shared by module and tests). GeluScalar is the
-/// inference forward (deterministic FastTanh approximation, a few ulps
-/// from libm); GeluTrainScalar is the libm-tanh forward of a training
-/// Forward, and GeluGradScalar is its exact derivative — training
-/// numerics are unchanged by the fast inference path. Both training
-/// scalars share one body with Gelu's training Forward, so its outputs and
-/// cached derivative equal them bit for bit.
-float GeluScalar(float x);
-float GeluTrainScalar(float x);
-float GeluGradScalar(float x);
 
 }  // namespace silofuse
 

@@ -6,9 +6,9 @@
 namespace silofuse {
 
 /// Optional activation fused into the GEMM epilogue (applied after the
-/// alpha/beta combine and the bias add). kGeluFast is the inference-only
-/// tanh-approximation GELU from common/fast_math.h — bit-identical to the
-/// unfused nn::GeluScalar pass, so fusing it cannot change inference bytes.
+/// alpha/beta combine and the bias add). kGeluFast is the tanh-approximation
+/// GELU from common/fast_math.h — the body every nn::Gelu forward, training
+/// included, evaluates, so fusing it cannot change a byte.
 enum class GemmActivation { kNone, kGeluFast };
 
 /// General matrix multiply:

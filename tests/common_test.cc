@@ -208,6 +208,28 @@ TEST(StringUtilTest, EnvFlagFallsBackWhenUnsetOrNotAFlag) {
   ::unsetenv(kName);
 }
 
+// SILOFUSE_QUIET and SILOFUSE_VERBOSE are on/off switches like every other
+// SILOFUSE_* flag: an off word or garbage leaves the level where unset does.
+TEST(LoggingTest, InitialLevelReadsQuietAndVerboseAsFlags) {
+  const char* kOff[] = {nullptr, "0", "off", "false", "no", "", "maybe", "2"};
+  const char* kOn[] = {"1", "on", "TRUE", "yes"};
+  for (const char* quiet : kOff) {
+    for (const char* verbose : kOff) {
+      EXPECT_EQ(InitialLogLevel(quiet, verbose), LogLevel::kInfo)
+          << (quiet ? quiet : "unset") << " / " << (verbose ? verbose : "unset");
+    }
+    for (const char* verbose : kOn) {
+      EXPECT_EQ(InitialLogLevel(quiet, verbose), LogLevel::kDebug) << verbose;
+    }
+  }
+  // Quiet wins over verbose.
+  for (const char* quiet : kOn) {
+    EXPECT_EQ(InitialLogLevel(quiet, nullptr), LogLevel::kWarning) << quiet;
+    EXPECT_EQ(InitialLogLevel(quiet, "0"), LogLevel::kWarning) << quiet;
+    EXPECT_EQ(InitialLogLevel(quiet, "1"), LogLevel::kWarning) << quiet;
+  }
+}
+
 TEST(LoggingTest, LevelRoundTrip) {
   const LogLevel prev = GetLogLevel();
   SetLogLevel(LogLevel::kError);

@@ -5,11 +5,14 @@
 // differences of the scalar surrogate L(x) = sum(Forward(x) * g), both for
 // the input and for every parameter.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numbers>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 
 #include <cstring>
 
+#include "common/fast_math.h"
 #include "nn/activations.h"
 #include "nn/conv1d.h"
 #include "nn/dropout.h"
@@ -109,28 +113,6 @@ TEST(GradCheckTest, Gelu) {
   Gelu layer;
   Matrix input = Matrix::RandomNormal(4, 5, &rng);
   CheckGradients(&layer, input, 4, 5);
-}
-
-// Training forwards must stay on libm tanh (bit-identical to checkpoints
-// and baselines recorded before the fast inference path existed); only
-// inference forwards take the FastTanh approximation.
-TEST(GeluNumericsTest, TrainingAndInferenceForwardsUseTheirOwnTanh) {
-  Gelu layer;
-  Rng rng(7);
-  Matrix input = Matrix::RandomNormal(6, 3, &rng);
-  Matrix train = layer.Forward(input, &rng);
-  Matrix infer = layer.Forward(input, /*train_rng=*/nullptr);
-  for (int r = 0; r < input.rows(); ++r) {
-    for (int c = 0; c < input.cols(); ++c) {
-      EXPECT_EQ(train.at(r, c), GeluTrainScalar(input.at(r, c)));
-      EXPECT_EQ(infer.at(r, c), GeluScalar(input.at(r, c)));
-    }
-  }
-  // Deep in the saturated tail libm tanh is exactly 1, so the libm GELU of
-  // a large x is exactly x — a bit pattern the clamped rational
-  // approximation need not reproduce. The training path must hit it.
-  Matrix big(1, 1, 20.0f);
-  EXPECT_EQ(layer.Forward(big, &rng).at(0, 0), 20.0f);
 }
 
 TEST(GradCheckTest, Relu) {
@@ -262,11 +244,13 @@ bool BytesEqual(const Matrix& a, const Matrix& b) {
 
 uint32_t Bits(float v) { return std::bit_cast<uint32_t>(v); }
 
-// Gelu's training Forward computes y and dy/dx from one tanh and caches
-// dy/dx; its outputs and its Backward must equal the scalar definitions
-// bit for bit: signed zeros, the saturated tails, tiny and huge magnitudes,
-// and random values, on matrices below (serial) and above (pool) the
-// activation's parallel threshold, at 1 and 4 threads.
+// Gelu's training Forward computes y and dy/dx from one FastTanh and caches
+// dy/dx; its outputs and its Backward must equal fastmath::GeluWithGrad bit
+// for bit: signed zeros, the saturated tails, tiny and huge magnitudes, and
+// random values, on matrices that run inline (6x3, and 128x128, the
+// paper's batch x width) and one above the activation's fan-out threshold
+// (512x512, so its y and dy/dx are written in pool chunks), at 1 and 4
+// threads.
 TEST(GeluNumericsTest, TrainingForwardAndBackwardEqualScalarsBitForBit) {
   ThreadSettingGuard guard;
   const std::vector<float> specials = {
@@ -275,7 +259,8 @@ TEST(GeluNumericsTest, TrainingForwardAndBackwardEqualScalarsBitForBit) {
       1e-4f,   -1e-4f,   9.0f,     -9.0f,    1e6f,     -1e6f};
   for (int threads : {1, 4}) {
     SetNumThreads(threads);
-    for (const auto& [rows, cols] : {std::pair{6, 3}, std::pair{128, 128}}) {
+    for (const auto& [rows, cols] :
+         {std::pair{6, 3}, std::pair{128, 128}, std::pair{512, 512}}) {
       Rng rng(41);
       Matrix input = Matrix::RandomNormal(rows, cols, &rng, 0.0f, 3.0f);
       for (size_t i = 0; i < specials.size() && i < input.size(); ++i) {
@@ -287,14 +272,87 @@ TEST(GeluNumericsTest, TrainingForwardAndBackwardEqualScalarsBitForBit) {
       const Matrix grad = layer.Backward(upstream);
       for (size_t i = 0; i < input.size(); ++i) {
         const float x = input.data()[i];
-        ASSERT_EQ(Bits(out.data()[i]), Bits(GeluTrainScalar(x)))
+        const fastmath::GeluPoint p = fastmath::GeluWithGrad(x);
+        ASSERT_EQ(Bits(out.data()[i]), Bits(p.value))
             << rows << "x" << cols << " threads=" << threads << " x=" << x;
-        ASSERT_EQ(Bits(grad.data()[i]),
-                  Bits(upstream.data()[i] * GeluGradScalar(x)))
+        ASSERT_EQ(Bits(grad.data()[i]), Bits(upstream.data()[i] * p.grad))
             << rows << "x" << cols << " threads=" << threads << " x=" << x;
       }
     }
   }
+}
+
+// The dense grid of the one-GELU tests: 2^22 evenly spaced floats covering
+// [-12, 12), each exact (a multiple of 3 * 2^-19), as a kGridRows x
+// kGridCols matrix.
+constexpr int kGridCols = 16;
+constexpr int kGridRows = (1 << 22) / kGridCols;
+
+Matrix GeluGrid() {
+  Matrix grid(kGridRows, kGridCols);
+  for (size_t i = 0; i < grid.size(); ++i) {
+    grid.data()[i] = static_cast<float>(-12.0 + 24.0 * static_cast<double>(i) /
+                                                    static_cast<double>(1 << 22));
+  }
+  return grid;
+}
+
+// One GELU: a model is served with the activation it was trained with. A
+// training forward, an inference forward and the fused GEMM epilogue (an
+// identity Linear with zero bias, whose ascending fma chain reproduces each
+// input exactly) give the same bits at every grid point.
+TEST(GeluNumericsTest, TrainingInferenceAndFusedForwardsAgreeOnDenseGrid) {
+  const Matrix grid = GeluGrid();
+  Rng rng(7);
+  Gelu layer;
+  const Matrix train = layer.Forward(grid, &rng);
+  const Matrix infer = layer.Forward(grid, /*train_rng=*/nullptr);
+  Linear identity(kGridCols, kGridCols, &rng);
+  identity.weight().value = Matrix(kGridCols, kGridCols, 0.0f);
+  for (int j = 0; j < kGridCols; ++j) identity.weight().value.at(j, j) = 1.0f;
+  identity.bias().value = Matrix(1, kGridCols, 0.0f);
+  const Matrix fused = identity.ForwardFusedGelu(grid);
+  ASSERT_TRUE(BytesEqual(identity.Forward(grid, /*train_rng=*/nullptr), grid));
+  int64_t infer_diffs = 0;
+  int64_t fused_diffs = 0;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    infer_diffs += Bits(train.data()[i]) != Bits(infer.data()[i]);
+    fused_diffs += Bits(train.data()[i]) != Bits(fused.data()[i]);
+  }
+  EXPECT_EQ(infer_diffs, 0) << "of " << grid.size() << " grid points";
+  EXPECT_EQ(fused_diffs, 0) << "of " << grid.size() << " grid points";
+  // FastTanh rounds to exactly 1 at its clamp, so the saturated tail keeps
+  // the tanh GELU's exact bit pattern: the GELU of a large x is x.
+  EXPECT_EQ(layer.Forward(Matrix(1, 1, 20.0f), &rng).at(0, 0), 20.0f);
+}
+
+// The shared GELU against the tanh GELU in double precision over the same
+// grid: value within 1e-6 and dy/dx (Backward of a ones gradient) within
+// 1e-5, absolute.
+TEST(GeluNumericsTest, TrainingGeluIsCloseToDoublePrecisionTanhGelu) {
+  const Matrix grid = GeluGrid();
+  Rng rng(8);
+  Gelu layer;
+  const Matrix value = layer.Forward(grid, &rng);
+  const Matrix grad = layer.Backward(Matrix(kGridRows, kGridCols, 1.0f));
+  const double coef = std::sqrt(2.0 / std::numbers::pi);
+  double max_value_err = 0.0;
+  double max_grad_err = 0.0;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const double x = grid.data()[i];
+    const double t = std::tanh(coef * (x + 0.044715 * x * x * x));
+    const double du = coef * (1.0 + 3.0 * 0.044715 * x * x);
+    const double y = 0.5 * x * (1.0 + t);
+    const double dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du;
+    max_value_err = std::max(max_value_err, std::abs(value.data()[i] - y));
+    max_grad_err = std::max(max_grad_err, std::abs(grad.data()[i] - dy));
+  }
+  EXPECT_LE(max_value_err, 1e-6);
+  EXPECT_LE(max_grad_err, 1e-5);
+  char errors[64];
+  std::snprintf(errors, sizeof(errors), "%.3g / %.3g", max_value_err,
+                max_grad_err);
+  RecordProperty("max_value_and_grad_err", errors);
 }
 
 // Backward indexes its cache by the gradient's size, so a gradient whose
