@@ -174,8 +174,9 @@ class Matrix {
 
  private:
   // Allocation accounting (live/peak bytes behind SILOFUSE_MEM_STATS) rides
-  // on the vector's allocator; with accounting off it degenerates to
-  // std::allocator plus one relaxed load per allocation.
+  // on the vector's allocator, which also maps large buffers outside the
+  // heap (memstats::kMappedBufferBytes); with accounting off it costs one
+  // relaxed load per allocation.
   using Buffer = std::vector<float, memstats::TrackingAllocator<float>>;
 
   int rows_;

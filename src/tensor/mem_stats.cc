@@ -1,6 +1,11 @@
 #include "tensor/mem_stats.h"
 
+#include <malloc.h>
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 
 #include "common/string_util.h"
 
@@ -52,6 +57,34 @@ void RecordFree(size_t bytes) {
   if (!Enabled() || bytes == 0) return;
   g_live_bytes.fetch_sub(static_cast<int64_t>(bytes),
                          std::memory_order_relaxed);
+}
+
+void* AllocateBuffer(size_t bytes) {
+  if (bytes < kMappedBufferBytes) {
+    void* p = std::malloc(bytes);
+    if (p == nullptr && bytes != 0) throw std::bad_alloc();
+    return p;
+  }
+  // Every Matrix writes its whole buffer at once (zeros or a copy), so the
+  // pages are mapped in one call rather than faulted in one by one.
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void FreeBuffer(void* p, size_t bytes) {
+  if (bytes < kMappedBufferBytes) {
+    std::free(p);
+  } else {
+    munmap(p, bytes);
+  }
+}
+
+void ReleaseFreeMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 int64_t LiveBytes() {

@@ -31,6 +31,26 @@ void ReinitFromEnv();
 void RecordAlloc(size_t bytes);
 void RecordFree(size_t bytes);
 
+/// Matrix buffers of at least this many bytes map their own pages and
+/// unmap them when freed, so a large buffer is resident only while it
+/// lives. In malloc's heap a freed large block stays resident, and where
+/// the next one fits depends on the heap's layout, which varies with
+/// which pool runner (the caller included) takes which sampling tile: the
+/// pipeline's peak RSS moved by up to ~1 MB between runs of one seed.
+/// Training batches (128 x 128 floats, 64 KiB) stay in malloc.
+inline constexpr size_t kMappedBufferBytes = size_t{256} << 10;
+
+/// The Matrix buffer allocator: `bytes` of storage, mapped from
+/// kMappedBufferBytes up and from malloc below. FreeBuffer takes a block
+/// back with the size it was allocated with.
+void* AllocateBuffer(size_t bytes);
+void FreeBuffer(void* p, size_t bytes);
+
+/// Hands the free pages of malloc's heaps back to the kernel (glibc
+/// malloc_trim; a no-op with other C libraries). For the end of a long
+/// phase that freed much more than it keeps, such as training.
+void ReleaseFreeMemory();
+
 /// Bytes currently allocated to Matrix buffers (clamped at 0: frees of
 /// buffers that predate SetEnabled(true) are ignored in the clamp).
 int64_t LiveBytes();
@@ -41,8 +61,8 @@ int64_t AllocCount();
 
 void Reset();
 
-/// std::allocator<T> plus RecordAlloc/RecordFree bookkeeping; the element
-/// type of Matrix's backing vector.
+/// AllocateBuffer/FreeBuffer plus RecordAlloc/RecordFree bookkeeping; the
+/// allocator of Matrix's backing vector.
 template <typename T>
 struct TrackingAllocator {
   using value_type = T;
@@ -53,11 +73,11 @@ struct TrackingAllocator {
 
   T* allocate(size_t n) {
     RecordAlloc(n * sizeof(T));
-    return std::allocator<T>().allocate(n);
+    return static_cast<T*>(AllocateBuffer(n * sizeof(T)));
   }
   void deallocate(T* p, size_t n) {
     RecordFree(n * sizeof(T));
-    std::allocator<T>().deallocate(p, n);
+    FreeBuffer(p, n * sizeof(T));
   }
 
   bool operator==(const TrackingAllocator&) const { return true; }

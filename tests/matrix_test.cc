@@ -1,6 +1,7 @@
 #include "tensor/matrix.h"
 
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +163,31 @@ TEST(MatrixTest, RandomNormalMomentsRoughlyCorrect) {
   }
   var /= a.size();
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.15);
+}
+
+// Buffers of kMappedBufferBytes or more map their own pages; on either side
+// of the threshold a Matrix starts zeroed, copies, moves and frees alike.
+TEST(MatrixTest, MappedAndHeapBuffersBehaveAlike) {
+  constexpr int kCols = 64;
+  const int mapped_rows =
+      static_cast<int>(memstats::kMappedBufferBytes / (kCols * sizeof(float)));
+  for (int rows : {mapped_rows - 1, mapped_rows, 3 * mapped_rows + 5}) {
+    SCOPED_TRACE(rows);
+    Matrix m(rows, kCols);
+    EXPECT_EQ(m.Min(), 0.0f);
+    EXPECT_EQ(m.Max(), 0.0f);
+    for (size_t i = 0; i < m.size(); ++i) m.data()[i] = static_cast<float>(i);
+    Matrix copy = m;
+    EXPECT_TRUE(copy == m);
+    EXPECT_NE(copy.data(), m.data());
+    const float* storage = m.data();
+    Matrix moved = std::move(m);
+    EXPECT_EQ(moved.data(), storage);
+    EXPECT_EQ(moved.at(rows - 1, kCols - 1),
+              static_cast<float>(moved.size() - 1));
+    copy = Matrix(2, 2);  // frees the copy's buffer
+    EXPECT_EQ(copy.size(), 4u);
+  }
 }
 
 TEST(MatrixTest, RandomUniformRange) {
