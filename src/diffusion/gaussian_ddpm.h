@@ -46,7 +46,28 @@ class GaussianDdpm {
   GaussianDdpm(const GaussianDdpmConfig& config, Rng* rng);
 
   /// One minibatch update on clean vectors `z0`; returns the loss.
+  ///
+  /// The step runs as a fixed handful of regions. It first draws t, the
+  /// noise and every Dropout mask from `rng`, serially, in the order a
+  /// whole-batch pass draws them. One region over row tiles of
+  /// kTrainTileRows rows follows: a tile runs its rows' time embedding,
+  /// forward pass, MSE gradient and backward input-gradient chain on one
+  /// thread, writing only its rows of the batch caches. A second region
+  /// computes every Linear's weight and bias gradient over the whole batch;
+  /// the optimizer's clip and update run as regions over the parameters.
+  /// Every output row comes from its own rows alone and every gradient
+  /// keeps its serial summation order, so the weights, the Adam moments and
+  /// `rng` end byte-identical to a whole-batch step at any thread count.
   double TrainStep(const Matrix& z0, Rng* rng);
+
+  /// Rows per training tile. Four tiles of a 128-row batch keep each
+  /// tile's widest activation at 16 KB and one tile per core of a 4-vCPU
+  /// host.
+  static constexpr int kTrainTileRows = 32;
+
+  /// Test hook: trains with tiles of `rows` rows instead of
+  /// kTrainTileRows. The bytes must not change.
+  void SetTrainTileRowsForTest(int rows) { train_tile_rows_ = rows; }
 
   /// Generates `n` samples with `steps` inference timesteps.
   /// eta=1 reproduces ancestral DDPM sampling; eta=0 is deterministic DDIM.
@@ -93,7 +114,8 @@ class GaussianDdpm {
                          Rng* train_rng);
 
   /// Backprop through the last ForwardBackbone; returns dLoss/dZ_t
-  /// (timestep-embedding gradient is dropped).
+  /// (timestep-embedding gradient is dropped). Both are TrainStep's row
+  /// pieces run over the whole batch.
   Matrix BackwardBackbone(const Matrix& grad_prediction);
 
   std::vector<Parameter*> Parameters() {
@@ -115,14 +137,30 @@ class GaussianDdpm {
   void PrepareForSampling();
 
   const GaussianDdpmConfig& config() const { return config_; }
+  /// The training optimizer: null before the first TrainStep and after
+  /// PrepareForSampling.
+  const Adam* optimizer() const { return optimizer_.get(); }
   const VarianceSchedule& schedule() const { return schedule_; }
 
  private:
+  // The backbone on rows [row0, row0 + z_t.rows()) of a prepared training
+  // batch when `training`, else an inference pass; t holds z_t.rows()
+  // timesteps.
+  Matrix BackboneRows(const Matrix& z_t, const int* t, int row0,
+                      bool training);
+  // dLoss/dZ_t of those rows (training rows only).
+  Matrix BackwardRows(const Matrix& grad_prediction, int row0);
+  // PrepareTraining of the backbone and the skip path for `rows` rows.
+  void PrepareTraining(int rows, Rng* train_rng);
+
   GaussianDdpmConfig config_;
   VarianceSchedule schedule_;
   Sequential backbone_;
   std::unique_ptr<Linear> skip_;  // direct z_t -> prediction path
+  std::vector<Linear*> linears_;  // every Linear: backbone order, then skip
+  double macs_per_row_ = 0.0;     // multiply-adds of one row's forward
   std::unique_ptr<Adam> optimizer_;  // created by the first TrainStep
+  int train_tile_rows_ = kTrainTileRows;
 };
 
 }  // namespace silofuse

@@ -15,7 +15,11 @@ namespace {
 // much smaller matrices — while cheap ones stay off the pool entirely
 // until they are big enough to amortize task overhead.
 constexpr double kNsPerElemCheap = 0.5;   // compares, one-multiply grads
-constexpr double kNsPerElemFast = 2.0;    // inference FastTanh gelu
+// Inference GELU: the vectorized GeluFast loop read 0.38-0.42 ns per
+// element on one thread (128^2 to 512^2, 4-vCPU AVX-512 Xeon), and a whole
+// unfused Forward (copy, then the loop) 0.50 at 128^2, so matrices of
+// ~200 K elements or more fan out.
+constexpr double kNsPerElemFast = 0.5;
 // Training GELU: the vectorized GeluWithGrad loop writing y and dy/dx read
 // 0.57-0.66 ns per element on one thread (128^2 to 512^2, 4-vCPU AVX-512
 // Xeon), so a 128x128 batch (~11 us) runs inline and only matrices of
@@ -63,20 +67,30 @@ Matrix Gelu::Forward(const Matrix& input, Rng* train_rng) {
     return ApplyFast(input, kNsPerElemFast,
                      [](float v) { return fastmath::GeluFast(v); });
   }
+  PrepareTraining(input.rows(), input.cols(), train_rng);
+  return ForwardRows(input, 0);
+}
+
+int Gelu::PrepareTraining(int rows, int cols, Rng* /*train_rng*/) {
+  // The long-lived cache is allocated here, before any short-lived output:
+  // the other order leaves an output's freed block under the cache, which
+  // raised the pipeline's peak RSS by ~0.4 MB.
+  if (cached_grad_.rows() != rows || cached_grad_.cols() != cols) {
+    cached_grad_ = Matrix(rows, cols);
+  }
+  return cols;
+}
+
+Matrix Gelu::ForwardRows(const Matrix& input, int row0) {
   // Training: one FastTanh per element yields both the output (the bits an
   // inference forward gives) and the derivative Backward needs, so the
   // cache holds dy/dx, not the input.
-  // The long-lived cache is allocated before the short-lived output: the
-  // other order leaves the output's freed block under the cache, which
-  // raised the pipeline's peak RSS by ~0.4 MB.
-  if (cached_grad_.rows() != input.rows() ||
-      cached_grad_.cols() != input.cols()) {
-    cached_grad_ = Matrix(input.rows(), input.cols());
-  }
+  SF_CHECK_EQ(input.cols(), cached_grad_.cols());
+  CheckRowRange(row0, input.rows(), cached_grad_.rows(), "Gelu");
   Matrix out(input.rows(), input.cols());
   const float* x = input.data();
   float* y = out.data();
-  float* d = cached_grad_.data();
+  float* d = cached_grad_.row_data(row0);
   ForActivation(out.size(), kNsPerElemGeluTrain,
                 [x, y, d](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
@@ -90,9 +104,15 @@ Matrix Gelu::Forward(const Matrix& input, Rng* train_rng) {
 
 Matrix Gelu::Backward(const Matrix& grad_output) {
   CheckCacheShape(grad_output, cached_grad_, "Gelu");
+  return BackwardRows(grad_output, 0);
+}
+
+Matrix Gelu::BackwardRows(const Matrix& grad_output, int row0) {
+  SF_CHECK_EQ(grad_output.cols(), cached_grad_.cols());
+  CheckRowRange(row0, grad_output.rows(), cached_grad_.rows(), "Gelu");
   Matrix grad = grad_output;
   float* g = grad.data();
-  const float* d = cached_grad_.data();
+  const float* d = cached_grad_.row_data(row0);
   ForActivation(grad.size(), kNsPerElemCheap, [g, d](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) g[i] *= d[i];
   });

@@ -18,6 +18,10 @@ class Gelu : public Module {
   Matrix Backward(const Matrix& grad_output) override;
   void Seal() override { cached_grad_ = Matrix(); }
 
+  int PrepareTraining(int rows, int cols, Rng* train_rng) override;
+  Matrix ForwardRows(const Matrix& input, int row0) override;
+  Matrix BackwardRows(const Matrix& grad_output, int row0) override;
+
  private:
   Matrix cached_grad_;  // dy/dx at the last training input
 };

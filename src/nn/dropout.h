@@ -10,7 +10,9 @@ namespace silofuse {
 
 /// Inverted dropout: a training forward zeroes entries with probability p,
 /// drawing the mask from the call's Rng, and rescales survivors by
-/// 1/(1-p); identity at inference.
+/// 1/(1-p); identity at inference. PrepareTraining draws the whole batch's
+/// mask (one engine word per entry, row-major), so the row pieces only
+/// read it.
 class Dropout : public Module {
  public:
   explicit Dropout(float p);
@@ -21,7 +23,14 @@ class Dropout : public Module {
   Matrix Backward(const Matrix& grad_output) override;
   void Seal() override { mask_ = Matrix(); }
 
+  int PrepareTraining(int rows, int cols, Rng* train_rng) override;
+  Matrix ForwardRows(const Matrix& input, int row0) override;
+  Matrix BackwardRows(const Matrix& grad_output, int row0) override;
+
  private:
+  // x * mask over rows [row0, row0 + x.rows()) of the mask.
+  Matrix ApplyMask(const Matrix& x, int row0) const;
+
   float p_;
   Matrix mask_;
   // Whether the last Forward was a training one. Concurrent inference

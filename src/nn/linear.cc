@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace silofuse {
@@ -19,15 +20,31 @@ Linear::Linear(int in_features, int out_features, Rng* rng, bool bias)
 
 Matrix Linear::Forward(const Matrix& input, Rng* train_rng) {
   SF_CHECK_EQ(input.cols(), in_features_);
-  // The cache only feeds Backward; inference skips the allocation + copy.
+  // The caches only feed Backward; inference skips them.
+  if (train_rng == nullptr) return Project(input, GemmActivation::kNone);
+  PrepareTraining(input.rows(), input.cols(), train_rng);
+  return ForwardRows(input, 0);
+}
+
+int Linear::PrepareTraining(int rows, int cols, Rng* /*train_rng*/) {
+  SF_CHECK_EQ(cols, in_features_);
   // A training forward leads to a weight update, so it retires the pack and
   // re-creates the grads Seal released.
-  if (train_rng != nullptr) {
-    cached_input_ = input;
-    packed_weight_.reset();
-    weight_.EnsureGrad();
-    bias_.EnsureGrad();
+  packed_weight_.reset();
+  weight_.EnsureGrad();
+  bias_.EnsureGrad();
+  if (cached_input_.rows() != rows) {
+    cached_input_ = Matrix(rows, in_features_);
+    cached_grad_output_ = Matrix(rows, out_features_);
   }
+  return out_features_;
+}
+
+Matrix Linear::ForwardRows(const Matrix& input, int row0) {
+  SF_CHECK_EQ(input.cols(), in_features_);
+  CheckRowRange(row0, input.rows(), cached_input_.rows(), "Linear");
+  std::copy(input.data(), input.data() + input.size(),
+            cached_input_.row_data(row0));
   return Project(input, GemmActivation::kNone);
 }
 
@@ -46,6 +63,7 @@ void Linear::Seal() {
   weight_.grad = Matrix();
   bias_.grad = Matrix();
   cached_input_ = Matrix();
+  cached_grad_output_ = Matrix();
 }
 
 Matrix Linear::Project(const Matrix& input, GemmActivation act) const {
@@ -70,7 +88,30 @@ Matrix Linear::Backward(const Matrix& grad_output) {
   SF_CHECK_EQ(grad_output.cols(), out_features_);
   SF_CHECK_EQ(grad_output.rows(), cached_input_.rows())
       << "Linear Backward: (no matching training Forward)";
-  // dW = x^T g ; db = sum_rows(g) ; dx = g W^T.
+  // The whole batch's g is at hand, so the weight pass reads it directly
+  // instead of a copy in the cache.
+  AddParamGrads(grad_output);
+  return InputGrad(grad_output);
+}
+
+Matrix Linear::BackwardRows(const Matrix& grad_output, int row0) {
+  SF_CHECK_EQ(grad_output.cols(), out_features_);
+  CheckRowRange(row0, grad_output.rows(), cached_grad_output_.rows(),
+                "Linear");
+  std::copy(grad_output.data(), grad_output.data() + grad_output.size(),
+            cached_grad_output_.row_data(row0));
+  return InputGrad(grad_output);
+}
+
+void Linear::AccumulateParamGrads() { AddParamGrads(cached_grad_output_); }
+
+Matrix Linear::InputGrad(const Matrix& grad_output) const {
+  // dx = g W^T: each row from its own row of g.
+  return grad_output.MatMulTransposedB(weight_.value);
+}
+
+void Linear::AddParamGrads(const Matrix& grad_output) {
+  // dW = x^T g ; db = sum_rows(g), over the whole batch.
   // dW accumulates straight into the grad buffer via the beta = 1 epilogue:
   // no temporary matrix and no second pass. Bytes are unchanged —
   // fma(1, acc, 1 * old) rounds once, exactly as the old
@@ -80,7 +121,6 @@ Matrix Linear::Backward(const Matrix& grad_output) {
        grad_output.data(), out_features_, 1.0f, weight_.grad.data(),
        out_features_);
   if (has_bias_) bias_.grad.AddInPlace(grad_output.ColSum());
-  return grad_output.MatMulTransposedB(weight_.value);
 }
 
 std::vector<Parameter*> Linear::Parameters() {

@@ -24,6 +24,14 @@ class Linear : public Module {
   Matrix Backward(const Matrix& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
+  /// Row pieces (Module): ForwardRows keeps its rows of x, BackwardRows
+  /// returns g W^T and keeps its rows of g, and AccumulateParamGrads adds
+  /// dW = X^T G and db = column sums of G over the whole batch.
+  int PrepareTraining(int rows, int cols, Rng* train_rng) override;
+  Matrix ForwardRows(const Matrix& input, int row0) override;
+  Matrix BackwardRows(const Matrix& grad_output, int row0) override;
+  void AccumulateParamGrads() override;
+
   /// Inference-only fused y = gelu(x W + b): one GEMM with the bias and
   /// FastTanh-GELU epilogues applied in the writeback, no intermediate
   /// matrix and no caches. Bit-identical to Forward(input, nullptr) then
@@ -41,7 +49,7 @@ class Linear : public Module {
   void PackWeights();
   bool packed() const { return packed_weight_.has_value(); }
 
-  /// PackWeights, and drops the grads and the cached input until the next
+  /// PackWeights, and drops the grads and the batch caches until the next
   /// training Forward.
   void Seal() override;
 
@@ -53,13 +61,18 @@ class Linear : public Module {
  private:
   // x W + b with the `act` epilogue, through the pack when there is one.
   Matrix Project(const Matrix& input, GemmActivation act) const;
+  // g W^T.
+  Matrix InputGrad(const Matrix& grad_output) const;
+  // dW += x^T g and db += column sums of g, for the whole batch's g.
+  void AddParamGrads(const Matrix& grad_output);
 
   int in_features_;
   int out_features_;
   bool has_bias_;
   Parameter weight_;  // (in x out)
   Parameter bias_;    // (1 x out)
-  Matrix cached_input_;
+  Matrix cached_input_;        // x of the training batch
+  Matrix cached_grad_output_;  // g of a row-tiled batch, for the dW pass
   std::optional<PackedB> packed_weight_;  // set by PackWeights, inference only
 };
 

@@ -34,31 +34,59 @@ double ClampLogit(double x) {
   return std::isnan(x) ? 0.0 : x;
 }
 
-}  // namespace
+// One pass of MSE over entries [lo, hi): the squared-error sum in double
+// and, with kGrad, the gradient scale * (p - t) into g.
+template <bool kGrad>
+double MseChunk(const float* p, const float* t, float* g, float scale,
+                int64_t lo, int64_t hi) {
+  double acc = 0.0;
+  for (int64_t i = lo; i < hi; ++i) {
+    const double d = static_cast<double>(p[i]) - t[i];
+    acc += d * d;
+    if constexpr (kGrad) g[i] = scale * static_cast<float>(d);
+  }
+  return acc;
+}
 
-double MseLoss(const Matrix& pred, const Matrix& target, Matrix* grad) {
+// The mean of MseChunk over all n entries: one straight-line pass below
+// kLossParallelThreshold, fixed-chunk partials above.
+template <bool kGrad>
+double MseMean(const Matrix& pred, const Matrix& target, float* g) {
   SF_CHECK(pred.rows() == target.rows() && pred.cols() == target.cols());
   const size_t n = pred.size();
   SF_CHECK_GT(n, 0u);
-  *grad = Matrix(pred.rows(), pred.cols());
   const float* p = pred.data();
   const float* t = target.data();
-  float* g = grad->data();
   const float scale = 2.0f / static_cast<float>(n);
   const auto chunk = [p, t, g, scale](int64_t lo, int64_t hi) {
-    double acc = 0.0;
-    for (int64_t i = lo; i < hi; ++i) {
-      const double d = static_cast<double>(p[i]) - t[i];
-      acc += d * d;
-      g[i] = scale * static_cast<float>(d);
-    }
-    return acc;
+    return MseChunk<kGrad>(p, t, g, scale, lo, hi);
   };
   const int64_t count = static_cast<int64_t>(n);
   const double loss = count >= kLossParallelThreshold
                           ? ParallelReduceSum(0, count, kLossGrain, chunk)
                           : chunk(0, count);
   return loss / static_cast<double>(n);
+}
+
+}  // namespace
+
+double MseLoss(const Matrix& pred, const Matrix& target, Matrix* grad) {
+  *grad = Matrix(pred.rows(), pred.cols());
+  return MseMean<true>(pred, target, grad->data());
+}
+
+void MseGradRows(const Matrix& pred, const Matrix& target,
+                 size_t batch_entries, Matrix* grad) {
+  SF_CHECK(pred.rows() == target.rows() && pred.cols() == target.cols());
+  SF_CHECK(batch_entries >= pred.size() && batch_entries > 0);
+  *grad = Matrix(pred.rows(), pred.cols());
+  MseChunk<true>(pred.data(), target.data(), grad->data(),
+                 2.0f / static_cast<float>(batch_entries), 0,
+                 static_cast<int64_t>(pred.size()));
+}
+
+double MseValue(const Matrix& pred, const Matrix& target) {
+  return MseMean<false>(pred, target, nullptr);
 }
 
 double BceWithLogitsLoss(const Matrix& logits, const Matrix& targets,

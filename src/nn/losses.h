@@ -10,6 +10,14 @@ namespace silofuse {
 /// Mean-squared error over all entries; fills *grad with dLoss/dPred.
 double MseLoss(const Matrix& pred, const Matrix& target, Matrix* grad);
 
+/// MseLoss in the two pieces a trainer running its batch in row tiles
+/// needs, with MseLoss's bytes: MseGradRows fills *grad with dLoss/dPred
+/// for the rows `pred` and `target` hold, of a batch of `batch_entries`
+/// entries in all; MseValue is the loss of the whole batch.
+void MseGradRows(const Matrix& pred, const Matrix& target,
+                 size_t batch_entries, Matrix* grad);
+double MseValue(const Matrix& pred, const Matrix& target);
+
 /// Binary cross-entropy on logits: targets in {0,1}, numerically stable.
 /// Fills *grad with dLoss/dLogits (mean reduction over all entries).
 double BceWithLogitsLoss(const Matrix& logits, const Matrix& targets,

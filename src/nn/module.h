@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "tensor/matrix.h"
 
 namespace silofuse {
@@ -38,6 +39,18 @@ struct Parameter {
 /// gradients as a side effect. A module instance therefore supports exactly
 /// one in-flight Forward/Backward pair (which is all the SiloFuse trainers
 /// need).
+///
+/// The denoiser's layers (Linear, Gelu, Dropout, Residual, Sequential) also
+/// train in row tiles, as three pieces: a serial PrepareTraining that sizes
+/// the batch caches and draws what the forward draws; ForwardRows and
+/// BackwardRows, which touch only their rows of those caches, so tiles of
+/// disjoint rows may run on different threads; and AccumulateParamGrads,
+/// which adds the whole batch's parameter gradients once every row is
+/// back. Their training Forward and Backward are these pieces run over the
+/// whole batch (Linear's Backward passes the gradient to its weight pass
+/// directly rather than through its cache), so a layer's math exists once
+/// and a tiled step writes the same bytes as a whole-batch one. Layers without the pieces abort if a
+/// tiled trainer reaches them.
 class Module {
  public:
   virtual ~Module() = default;
@@ -62,6 +75,24 @@ class Module {
   /// (inference forwards do not populate the caches).
   virtual Matrix Backward(const Matrix& grad_output) = 0;
 
+  /// Serial first piece of a tiled training pass over `rows` input rows of
+  /// width `cols`: sizes the batch caches, re-creates released grads and
+  /// draws from `train_rng` what a training Forward draws. Returns the
+  /// output width.
+  virtual int PrepareTraining(int rows, int cols, Rng* train_rng);
+
+  /// Training forward of rows [row0, row0 + input.rows()) of the prepared
+  /// batch; writes only those rows of the caches.
+  virtual Matrix ForwardRows(const Matrix& input, int row0);
+
+  /// dLoss/dInput of rows [row0, row0 + grad_output.rows()); keeps those
+  /// rows of whatever AccumulateParamGrads needs.
+  virtual Matrix BackwardRows(const Matrix& grad_output, int row0);
+
+  /// After BackwardRows has covered every row of the batch: adds the whole
+  /// batch's gradient to each parameter's grad. A no-op without parameters.
+  virtual void AccumulateParamGrads() {}
+
   /// Pointers to this module's trainable parameters (empty by default).
   virtual std::vector<Parameter*> Parameters() { return {}; }
 
@@ -85,6 +116,30 @@ class Module {
     return count;
   }
 };
+
+inline int Module::PrepareTraining(int, int, Rng*) {
+  SF_CHECK(false) << TypeName() << "has no row-tiled training";
+  return 0;
+}
+
+inline Matrix Module::ForwardRows(const Matrix&, int) {
+  SF_CHECK(false) << TypeName() << "has no row-tiled training";
+  return Matrix();
+}
+
+inline Matrix Module::BackwardRows(const Matrix&, int) {
+  SF_CHECK(false) << TypeName() << "has no row-tiled training";
+  return Matrix();
+}
+
+/// Checks that rows [row0, row0 + rows) lie inside a batch cache of
+/// `cache_rows` rows, as a row-piece call on a prepared batch must.
+inline void CheckRowRange(int row0, int rows, int cache_rows,
+                          const char* layer) {
+  SF_CHECK(row0 >= 0 && rows >= 0 && row0 + rows <= cache_rows)
+      << layer << "rows [" << row0 << "," << row0 + rows << ") outside a"
+      << cache_rows << "row batch (no matching PrepareTraining)";
+}
 
 /// Prepends `prefix` to every parameter's name. Containers call this once,
 /// at build time, so each parameter ends up with a stable fully-qualified

@@ -10,19 +10,54 @@ namespace {
 // Adam's per-element update is independent across elements, so large
 // parameter tensors update on the pool with bit-exact results; the runtime
 // sizes chunks from this per-element cost. The vectorized loop measured
-// ~0.55 ns per element (one thread, 4-vCPU AVX-512 Xeon), so a tensor
-// needs ~170 K elements before it fans out.
-constexpr double kNsPerElemAdam = 0.6;
+// ~0.55 ns per element with the gradients in its own core's cache (one
+// thread, 4-vCPU AVX-512 Xeon), but ~1.7 ns in a denoiser training step at
+// 4 threads, where other cores wrote the gradients: 182 us inline against
+// 76 us as a region over the 107 K parameters of the 8x128 denoiser. The
+// hint is the in-step cost, so that model's update fans out, while the
+// 32-wide silo autoencoders (a few thousand parameters) stay inline.
+constexpr double kNsPerElemAdam = 1.7;
+// A gradient's squared norm is one dependent double add per element (its
+// order is fixed, so it cannot be split below Matrix's reduction
+// threshold): ~1.3 ns per element on the same Xeon.
+constexpr double kNsPerElemSquaredNorm = 1.3;
+constexpr double kNsPerElemScale = 0.5;
+
+// Runs fn(i) for every parameter index i, as one region over the
+// parameters when their summed cost (ns_per_elem per element) pays for a
+// fan-out, and inline otherwise; the runtime decides from the shapes
+// alone. fn(i) must touch only parameter i's state. A kernel inside fn
+// that would fan out runs inline in the region, and every kernel here is
+// per element or has fixed chunks, so the bytes depend on neither the
+// decision nor the thread count.
+template <typename Fn>
+void ForEachParam(const std::vector<Parameter*>& params, double ns_per_elem,
+                  Fn&& fn) {
+  size_t elements = 0;
+  for (const Parameter* p : params) elements += p->value.size();
+  ParallelForItems(0, static_cast<int64_t>(params.size()),
+                   ns_per_elem * static_cast<double>(elements),
+                   [&fn](int64_t lo, int64_t hi) {
+                     for (int64_t i = lo; i < hi; ++i) fn(static_cast<size_t>(i));
+                   });
+}
 
 }  // namespace
 
 double Optimizer::ClipGradNorm(double max_norm) {
+  std::vector<double> squares(params_.size());
+  ForEachParam(params_, kNsPerElemSquaredNorm, [this, &squares](size_t i) {
+    squares[i] = params_[i]->grad.SquaredNorm();
+  });
+  // Summed in parameter order, as one serial loop over the parameters.
   double total = 0.0;
-  for (Parameter* p : params_) total += p->grad.SquaredNorm();
+  for (double square : squares) total += square;
   const double norm = std::sqrt(total);
   if (norm > max_norm && norm > 0.0) {
     const float scale = static_cast<float>(max_norm / norm);
-    for (Parameter* p : params_) p->grad.ScaleInPlace(scale);
+    ForEachParam(params_, kNsPerElemScale, [this, scale](size_t i) {
+      params_[i]->grad.ScaleInPlace(scale);
+    });
   }
   return norm;
 }
@@ -80,7 +115,10 @@ void Adam::Step() {
   const float one_minus_beta2 = 1.0f - beta2_;
   const float eps = eps_;
   const float decay = weight_decay_;
-  for (size_t i = 0; i < params_.size(); ++i) {
+  // One region over the parameters (inline when small): each item updates
+  // one tensor, and a tensor large enough to fan out alone still does so
+  // when the parameter region runs inline.
+  ForEachParam(params_, kNsPerElemAdam, [&, this](size_t i) {
     Parameter* p = params_[i];
     float* value = p->value.data();
     const float* grad = p->grad.data();
@@ -97,7 +135,7 @@ void Adam::Step() {
       }
     };
     ParallelForCost(0, n, kNsPerElemAdam, update);
-  }
+  });
 }
 
 }  // namespace silofuse

@@ -63,6 +63,9 @@ class Adam : public Optimizer {
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
   int64_t step_count() const { return step_; }
+  /// The first and second moment estimates of params()[i].
+  const Matrix& first_moment(size_t i) const { return m_.at(i); }
+  const Matrix& second_moment(size_t i) const { return v_.at(i); }
 
  private:
   float lr_;

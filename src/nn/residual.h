@@ -22,16 +22,39 @@ class Residual : public Module {
   const char* TypeName() const override { return "residual"; }
 
   Matrix Forward(const Matrix& input, Rng* train_rng) override {
-    Matrix out = inner_->Forward(input, train_rng);
+    if (train_rng != nullptr) {
+      PrepareTraining(input.rows(), input.cols(), train_rng);
+      return ForwardRows(input, 0);
+    }
+    Matrix out = inner_->Forward(input, nullptr);
     out.AddInPlace(input);
     return out;
   }
 
   Matrix Backward(const Matrix& grad_output) override {
-    Matrix grad = inner_->Backward(grad_output);
+    Matrix grad = BackwardRows(grad_output, 0);
+    AccumulateParamGrads();
+    return grad;
+  }
+
+  int PrepareTraining(int rows, int cols, Rng* train_rng) override {
+    SF_CHECK_EQ(inner_->PrepareTraining(rows, cols, train_rng), cols);
+    return cols;
+  }
+
+  Matrix ForwardRows(const Matrix& input, int row0) override {
+    Matrix out = inner_->ForwardRows(input, row0);
+    out.AddInPlace(input);
+    return out;
+  }
+
+  Matrix BackwardRows(const Matrix& grad_output, int row0) override {
+    Matrix grad = inner_->BackwardRows(grad_output, row0);
     grad.AddInPlace(grad_output);
     return grad;
   }
+
+  void AccumulateParamGrads() override { inner_->AccumulateParamGrads(); }
 
   std::vector<Parameter*> Parameters() override {
     return inner_->Parameters();

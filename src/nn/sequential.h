@@ -72,6 +72,35 @@ class Sequential : public Module {
     return g;
   }
 
+  /// The row pieces chain through the modules like Forward and Backward;
+  /// training never fuses, so they run every module.
+  int PrepareTraining(int rows, int cols, Rng* train_rng) override {
+    for (auto& m : modules_) cols = m->PrepareTraining(rows, cols, train_rng);
+    return cols;
+  }
+
+  Matrix ForwardRows(const Matrix& input, int row0) override {
+    if (modules_.empty()) return input;
+    Matrix x = modules_.front()->ForwardRows(input, row0);
+    for (size_t i = 1; i < modules_.size(); ++i) {
+      x = modules_[i]->ForwardRows(x, row0);
+    }
+    return x;
+  }
+
+  Matrix BackwardRows(const Matrix& grad_output, int row0) override {
+    if (modules_.empty()) return grad_output;
+    Matrix g = modules_.back()->BackwardRows(grad_output, row0);
+    for (size_t i = modules_.size() - 1; i-- > 0;) {
+      g = modules_[i]->BackwardRows(g, row0);
+    }
+    return g;
+  }
+
+  void AccumulateParamGrads() override {
+    for (auto& m : modules_) m->AccumulateParamGrads();
+  }
+
   std::vector<Parameter*> Parameters() override {
     std::vector<Parameter*> params;
     for (auto& m : modules_) {

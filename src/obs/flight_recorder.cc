@@ -33,6 +33,7 @@ struct alignas(64) Slot {
   std::atomic<int64_t> end_ns{0};
   std::atomic<const char*> deployment{nullptr};
   std::atomic<uint32_t> phase_rows{0};  // phase:8 (high) | rows:24 (low)
+  std::atomic<int32_t> tid{0};          // the recording thread's id
 };
 static_assert(sizeof(Slot) == 64, "one event per cache line");
 
@@ -45,27 +46,68 @@ uint64_t StableSeq(uint64_t gen) { return 2 * gen + 2; }
 struct Ring {
   std::vector<Slot> slots{FlightRecorder::kRingSlots};
   std::atomic<uint64_t> head{0};  // next generation; single writer
-  int tid = 0;
+};
+
+// Every ring ever made, and the ones whose thread has exited. A new
+// recording thread takes a free ring before it makes one, so the rings
+// never outnumber the peak count of live recording threads; an exited
+// thread's events stay readable until the next owner overwrites them.
+struct RingRegistry {
+  std::vector<std::shared_ptr<Ring>> all;
+  std::vector<std::shared_ptr<Ring>> free;
+  int last_tid = 0;
 };
 
 std::mutex g_rings_mu;
 
-std::vector<std::shared_ptr<Ring>>* Rings() {
+RingRegistry* Registry() {
   // Leaky: dumps can run from atexit hooks after static destruction began.
-  static auto* rings = new std::vector<std::shared_ptr<Ring>>();
-  return rings;
+  static auto* registry = new RingRegistry();
+  return registry;
 }
 
-Ring* LocalRing() {
-  thread_local std::shared_ptr<Ring> ring = [] {
-    auto r = std::make_shared<Ring>();
+std::vector<std::shared_ptr<Ring>> AllRings() {
+  std::lock_guard<std::mutex> lock(g_rings_mu);
+  return Registry()->all;
+}
+
+// A thread's hold on one ring, from its first event to its exit. The ring
+// passes to a later thread through the registry's mutex, so its previous
+// owner's writes happen before the new owner's.
+class RingLease {
+ public:
+  RingLease() {
     std::lock_guard<std::mutex> lock(g_rings_mu);
-    auto* all = Rings();
-    r->tid = static_cast<int>(all->size()) + 1;
-    all->push_back(r);
-    return r;
-  }();
-  return ring.get();
+    RingRegistry* registry = Registry();
+    if (registry->free.empty()) {
+      ring_ = std::make_shared<Ring>();
+      registry->all.push_back(ring_);
+    } else {
+      ring_ = std::move(registry->free.back());
+      registry->free.pop_back();
+    }
+    tid_ = ++registry->last_tid;
+  }
+
+  ~RingLease() {
+    std::lock_guard<std::mutex> lock(g_rings_mu);
+    Registry()->free.push_back(std::move(ring_));
+  }
+
+  RingLease(const RingLease&) = delete;
+  RingLease& operator=(const RingLease&) = delete;
+
+  Ring* ring() const { return ring_.get(); }
+  int tid() const { return tid_; }
+
+ private:
+  std::shared_ptr<Ring> ring_;
+  int tid_ = 0;
+};
+
+RingLease& LocalLease() {
+  thread_local RingLease lease;
+  return lease;
 }
 
 std::atomic<int64_t> g_total_recorded{0};
@@ -123,7 +165,8 @@ void FlightRecorder::Record(FlightPhase phase, uint64_t request_id,
                             uint64_t batch_id, const char* deployment,
                             int32_t rows, int64_t start_ns, int64_t end_ns) {
   if (!enabled()) return;
-  Ring* ring = LocalRing();
+  RingLease& lease = LocalLease();
+  Ring* ring = lease.ring();
   const uint64_t gen = ring->head.load(std::memory_order_relaxed);
   Slot& slot = ring->slots[gen & (kRingSlots - 1)];
   // Odd seq marks the slot mid-write; readers skip it.
@@ -137,17 +180,14 @@ void FlightRecorder::Record(FlightPhase phase, uint64_t request_id,
       rows < 0 ? 0 : std::min<uint32_t>(static_cast<uint32_t>(rows), kRowsMask);
   slot.phase_rows.store((static_cast<uint32_t>(phase) << 24) | bounded_rows,
                         std::memory_order_relaxed);
+  slot.tid.store(lease.tid(), std::memory_order_relaxed);
   slot.seq.store(StableSeq(gen), std::memory_order_release);
   ring->head.store(gen + 1, std::memory_order_release);
   g_total_recorded.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard<std::mutex> lock(g_rings_mu);
-    rings = *Rings();
-  }
+  const std::vector<std::shared_ptr<Ring>> rings = AllRings();
   std::vector<FlightEvent> events;
   for (const auto& ring : rings) {
     const uint64_t head = ring->head.load(std::memory_order_acquire);
@@ -166,7 +206,7 @@ std::vector<FlightEvent> FlightRecorder::Snapshot() const {
       const uint32_t packed = slot.phase_rows.load(std::memory_order_relaxed);
       event.phase = static_cast<FlightPhase>(packed >> 24);
       event.rows = static_cast<int32_t>(packed & kRowsMask);
-      event.tid = ring->tid;
+      event.tid = slot.tid.load(std::memory_order_relaxed);
       // Re-validate: if the writer lapped us mid-field-read the fields may
       // mix generations; the seq check makes that visible and we drop it.
       if (slot.seq.load(std::memory_order_acquire) != StableSeq(gen)) continue;
@@ -327,13 +367,13 @@ int64_t FlightRecorder::TotalRecorded() const {
   return g_total_recorded.load(std::memory_order_relaxed);
 }
 
+size_t FlightRecorder::RingCount() const {
+  std::lock_guard<std::mutex> lock(g_rings_mu);
+  return Registry()->all.size();
+}
+
 void FlightRecorder::Clear() {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard<std::mutex> lock(g_rings_mu);
-    rings = *Rings();
-  }
-  for (const auto& ring : rings) {
+  for (const auto& ring : AllRings()) {
     const uint64_t head = ring->head.load(std::memory_order_acquire);
     for (Slot& slot : ring->slots) {
       slot.seq.store(0, std::memory_order_relaxed);

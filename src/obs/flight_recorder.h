@@ -43,7 +43,7 @@ struct FlightEvent {
   const char* deployment = nullptr;  // interned, may be null
   FlightPhase phase = FlightPhase::kNone;
   int32_t rows = 0;
-  int tid = 0;  // small per-thread id, matches ring registration order
+  int tid = 0;  // small per-thread id, in order of each thread's first event
 };
 
 /// Always-on, lock-free flight recorder for the serving path.
@@ -53,7 +53,10 @@ struct FlightEvent {
 /// release fence per event) and never allocates after the thread's first
 /// event, so it stays enabled in production: when a request blows its SLO
 /// or a watchdog aborts the process, the last ~4K events per thread are
-/// already in memory waiting to be dumped. Readers (Snapshot/Dump) validate
+/// already in memory waiting to be dumped. A thread's ring outlives it and
+/// passes to the next thread that records for the first time, so memory is
+/// bounded by the peak number of live recording threads, and an exited
+/// thread's events stay in dumps until its successor overwrites them. Readers (Snapshot/Dump) validate
 /// each slot against a per-slot sequence number and simply skip slots that
 /// a writer is overwriting mid-read — a dump never blocks serving.
 ///
@@ -126,6 +129,10 @@ class FlightRecorder {
 
   /// Total events recorded since process start (including overwritten).
   int64_t TotalRecorded() const;
+
+  /// Rings allocated since process start: at most the peak number of
+  /// threads recording at once.
+  size_t RingCount() const;
 
   /// Drops all recorded events and the dump history (test isolation).
   /// Must not race Record().

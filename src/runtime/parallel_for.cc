@@ -266,6 +266,16 @@ void ParallelForCost(int64_t begin, int64_t end, double cost_per_iter_ns,
   ParallelFor(begin, end, AutoGrain(n, cost_per_iter_ns), fn);
 }
 
+void ParallelForItems(int64_t begin, int64_t end, double total_cost_ns,
+                      const std::function<void(int64_t, int64_t)>& fn) {
+  if (end - begin <= 0) return;
+  if (total_cost_ns < 2.0 * kMinChunkCostNs) {
+    fn(begin, end);
+    return;
+  }
+  ParallelFor(begin, end, 1, fn);
+}
+
 double ParallelReduceSum(int64_t begin, int64_t end, int64_t grain,
                          const std::function<double(int64_t, int64_t)>& fn) {
   const int64_t n = end - begin;

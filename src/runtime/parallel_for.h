@@ -69,6 +69,16 @@ int64_t AutoGrain(int64_t n, double cost_per_iter_ns);
 void ParallelForCost(int64_t begin, int64_t end, double cost_per_iter_ns,
                      const std::function<void(int64_t, int64_t)>& fn);
 
+/// Cost-gated ParallelFor over items of uneven cost (a network's
+/// parameters, its layers): runs fn(begin, end) inline when the summed cost
+/// `total_cost_ns` is below ParallelForCost's threshold, and otherwise as
+/// a region of one item per chunk, which the threads claim one at a time,
+/// so a few large items do not end up in one chunk. The decision depends
+/// only on (end - begin, total_cost_ns). Same determinism contract as
+/// ParallelFor.
+void ParallelForItems(int64_t begin, int64_t end, double total_cost_ns,
+                      const std::function<void(int64_t, int64_t)>& fn);
+
 /// Sum-reduction companion to ParallelFor: `fn(chunk_begin, chunk_end)`
 /// returns a double partial for its chunk; partials are combined in fixed
 /// chunk order on the calling thread. Because the chunking is thread-count

@@ -1,5 +1,7 @@
 #include <cstdlib>
 #include <optional>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +140,48 @@ TEST(RngTest, ForkProducesIndependentStream) {
   Rng child = a.Fork();
   // Child stream differs from the parent's continued stream.
   EXPECT_NE(child.Uniform(), a.Uniform());
+}
+
+TEST(RngTest, EngineMatchesStdMt19937_64) {
+  // Lengths cross the 312-word state boundary at different offsets.
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{5489}, uint64_t{42},
+                              ~uint64_t{0}}) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(engine(), reference()) << i;
+    // Bulk fills of many lengths, interleaved with scalar draws.
+    std::vector<uint64_t> words;
+    for (const size_t n : {size_t{1}, size_t{311}, size_t{312}, size_t{313},
+                           size_t{700}, size_t{0}, size_t{2000}}) {
+      words.assign(n, 0);
+      engine.Fill(words.data(), n);
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(words[i], reference()) << n;
+      ASSERT_EQ(engine(), reference());
+    }
+  }
+  // Through Rng: the distributions see the same stream, and Fork seeds the
+  // child from the next word.
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{902}}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(rng.Uniform(-2.0, 3.0),
+                std::uniform_real_distribution<double>(-2.0, 3.0)(reference));
+      ASSERT_EQ(rng.UniformInt(1, 200),
+                std::uniform_int_distribution<int64_t>(1, 200)(reference));
+      ASSERT_EQ(rng.Normal(0.5, 2.0),
+                std::normal_distribution<double>(0.5, 2.0)(reference));
+    }
+    std::vector<uint64_t> words(333);
+    rng.engine().Fill(words.data(), words.size());
+    for (uint64_t w : words) ASSERT_EQ(w, reference());
+    Rng child = rng.Fork();
+    std::mt19937_64 child_reference(reference());
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(child.Normal(), std::normal_distribution<double>()(child_reference));
+    }
+    ASSERT_EQ(rng.engine()(), reference());
+  }
 }
 
 TEST(StringUtilTest, SplitKeepsEmptyFields) {

@@ -10,6 +10,8 @@
 #include "diffusion/gaussian_ddpm.h"
 #include "diffusion/schedule.h"
 #include "diffusion/time_embedding.h"
+#include "nn/losses.h"
+#include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
@@ -236,6 +238,109 @@ GaussianDdpmConfig SmallDenoiserConfig() {
 bool SameBytes(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// TrainStep as a whole-batch pass over the public pieces: the draws,
+// ForwardBackbone, MseLoss, BackwardBackbone and the optimizer, in the
+// order the step ran before it was tiled.
+double WholeBatchTrainStep(GaussianDdpm* ddpm, Adam* adam, const Matrix& z0,
+                           Rng* rng) {
+  const int batch = z0.rows();
+  std::vector<int> t(batch);
+  for (int r = 0; r < batch; ++r) {
+    t[r] = static_cast<int>(
+        rng->UniformInt(1, ddpm->schedule().num_timesteps()));
+  }
+  const Matrix eps = Matrix::RandomNormal(batch, z0.cols(), rng);
+  const Matrix z_t = ddpm->ForwardProcess(z0, t, eps);
+  const Matrix prediction = ddpm->ForwardBackbone(z_t, t, rng);
+  const bool eps_mode =
+      ddpm->config().predict == DiffusionPrediction::kEpsilon;
+  Matrix grad;
+  const double loss = MseLoss(prediction, eps_mode ? eps : z0, &grad);
+  adam->ZeroGrad();
+  ddpm->BackwardBackbone(grad);
+  adam->ClipGradNorm(ddpm->config().grad_clip);
+  adam->Step();
+  return loss;
+}
+
+// The tiled TrainStep must leave the weights, the Adam moments and the Rng
+// exactly where the whole-batch reference leaves them, at any thread count
+// and tile size: the pipeline's 8x128 denoiser (batch 128), the 8x256
+// serving denoiser (batch 64), and a dropout-free x0-predicting one whose
+// batch of 100 is no multiple of the tile sizes above 1. The default tile
+// runs at 1, 2 and 4 threads, and every tile size at 4. Under TSan, whose
+// instrumented GEMMs run ~50x slower, a few steps suffice to race-check
+// the tiles.
+TEST(GaussianDdpmTest, TiledTrainStepMatchesWholeBatchReference) {
+#if defined(__SANITIZE_THREAD__)
+  constexpr int kSteps = 3;
+#else
+  constexpr int kSteps = 30;
+#endif
+  struct Shape {
+    int hidden, batch;
+    float dropout;
+    DiffusionPrediction predict;
+  };
+  struct Run {
+    int threads, tile_rows;
+  };
+  const std::vector<Run> runs = {{1, GaussianDdpm::kTrainTileRows},
+                                 {2, GaussianDdpm::kTrainTileRows},
+                                 {4, 1}, {4, 7}, {4, 32}, {4, 128}};
+  const int saved_threads = NumThreads();
+  for (const Shape& shape :
+       {Shape{128, 128, 0.01f, DiffusionPrediction::kEpsilon},
+        Shape{256, 64, 0.01f, DiffusionPrediction::kEpsilon},
+        Shape{64, 100, 0.0f, DiffusionPrediction::kX0}}) {
+    GaussianDdpmConfig config;
+    config.data_dim = 14;
+    config.hidden_dim = shape.hidden;
+    config.dropout = shape.dropout;
+    config.predict = shape.predict;
+    Rng data_rng(31);
+    const Matrix z0 = Matrix::RandomNormal(shape.batch, config.data_dim,
+                                           &data_rng);
+    SetNumThreads(1);
+    Rng init_ref(32), train_ref(33);
+    GaussianDdpm reference(config, &init_ref);
+    Adam reference_adam(reference.Parameters(), config.lr);
+    std::vector<double> reference_losses;
+    for (int s = 0; s < kSteps; ++s) {
+      reference_losses.push_back(
+          WholeBatchTrainStep(&reference, &reference_adam, z0, &train_ref));
+    }
+    const uint64_t reference_next = train_ref.engine()();
+    const std::vector<Parameter*> want = reference.Parameters();
+    for (const Run& run : runs) {
+      SCOPED_TRACE("hidden=" + std::to_string(shape.hidden) +
+                   " threads=" + std::to_string(run.threads) +
+                   " tile_rows=" + std::to_string(run.tile_rows));
+      SetNumThreads(run.threads);
+      Rng init(32), train(33);
+      GaussianDdpm ddpm(config, &init);
+      ddpm.SetTrainTileRowsForTest(run.tile_rows);
+      for (int s = 0; s < kSteps; ++s) {
+        ASSERT_EQ(ddpm.TrainStep(z0, &train), reference_losses[s])
+            << "step " << s;
+      }
+      EXPECT_EQ(train.engine()(), reference_next);
+      const std::vector<Parameter*> got = ddpm.Parameters();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(SameBytes(got[i]->value, want[i]->value)) << got[i]->name;
+        EXPECT_TRUE(SameBytes(ddpm.optimizer()->first_moment(i),
+                              reference_adam.first_moment(i)))
+            << got[i]->name;
+        EXPECT_TRUE(SameBytes(ddpm.optimizer()->second_moment(i),
+                              reference_adam.second_moment(i)))
+            << got[i]->name;
+      }
+    }
+  }
+  SetNumThreads(saved_threads);
 }
 
 // PrepareForSampling packs the weights and releases the training state; a

@@ -61,5 +61,16 @@ TEST(DropoutTest, BackwardUsesSameMask) {
   }
 }
 
+TEST(DropoutTest, TinyRateKeepsEveryEntry) {
+  // keep = 1 - 1e-9 rounds to 1.0f, so every engine word keeps its entry
+  // and survivors carry scale 1 (the threshold must not come from casting
+  // 2^64 to uint64_t).
+  Rng rng(6);
+  Dropout layer(1e-9f);
+  const Matrix ones(64, 64, 1.0f);
+  EXPECT_EQ(layer.Forward(ones, &rng), ones);
+  EXPECT_EQ(layer.Backward(ones), ones);
+}
+
 }  // namespace
 }  // namespace silofuse

@@ -202,14 +202,22 @@ TEST_F(FlightRecorderTest, ConcurrentWritersAndSnapshotReadersAreRaceFree) {
       }
     }
   });
+  // Every writer holds its ring (from its first event) before any goes on,
+  // so each writes its own: an exited writer would hand its ring to a
+  // later one.
+  std::atomic<int> holding{0};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([w, &flight] {
+    writers.emplace_back([w, &flight, &holding] {
       for (int i = 0; i < kEventsPerWriter; ++i) {
         const int64_t t = static_cast<int64_t>(i) * 10;
         flight.Record(FlightPhase::kSample,
                       static_cast<uint64_t>(w * kEventsPerWriter + i + 1),
                       1, "concurrent", 8, t, t + 5);
+        if (i == 0) {
+          holding.fetch_add(1);
+          while (holding.load() < kWriters) std::this_thread::yield();
+        }
       }
     });
   }
@@ -221,6 +229,31 @@ TEST_F(FlightRecorderTest, ConcurrentWritersAndSnapshotReadersAreRaceFree) {
   // full ring per writer thread (plus nothing from this thread).
   const std::vector<FlightEvent> events = flight.Snapshot();
   EXPECT_EQ(events.size(), kWriters * FlightRecorder::kRingSlots);
+}
+
+TEST_F(FlightRecorderTest, ExitedThreadsHandTheirRingsOn) {
+  auto& flight = FlightRecorder::Global();
+  const size_t rings_before = flight.RingCount();
+  constexpr int kThreads = 64;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([i, &flight] {
+      flight.Record(FlightPhase::kSample, static_cast<uint64_t>(i + 1), 1,
+                    "short-lived", 4, 10 * i, 10 * i + 5);
+    }).join();
+  }
+  // Each thread exits before the next starts, so they share one ring at
+  // most (none when an earlier test left a free one).
+  EXPECT_LE(flight.RingCount(), rings_before + 1);
+
+  // The exited threads' events are still there, each under its own tid.
+  const std::vector<FlightEvent> events = flight.Snapshot();
+  ASSERT_EQ(events.size(), static_cast<size_t>(kThreads));
+  std::set<int> tids;
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(events[i].request_id, static_cast<uint64_t>(i + 1));
+    tids.insert(events[i].tid);
+  }
+  EXPECT_EQ(tids.size(), static_cast<size_t>(kThreads));
 }
 
 }  // namespace

@@ -127,6 +127,60 @@ TEST(OptimizerTest, AdamStepMatchesScalarReferenceBitForBit) {
   SetNumThreads(saved_threads);
 }
 
+// ClipGradNorm and Adam::Step run as regions over the parameters once the
+// parameters are large enough. The norm must still sum the per-parameter
+// squared norms in parameter order, and each tensor's bytes must not
+// depend on which thread updated it: 1, 2 and 4 threads give the same
+// bytes, and the norm equals the serial sum. The sizes mix tiny tensors,
+// ones above Matrix's reduction threshold, and enough elements for every
+// region to fan out.
+TEST(OptimizerTest, ClipAndStepBytesAreEqualAtAnyThreadCount) {
+  const int saved_threads = NumThreads();
+  const std::vector<int> sizes = {1, 300, 16384, 40000, 7, 65536, 100000, 14};
+  std::vector<float> first_values;
+  std::vector<double> first_norms;
+  for (int threads : {1, 2, 4}) {
+    SetNumThreads(threads);
+    Rng rng(11);
+    std::vector<Parameter> params;
+    for (int n : sizes) params.emplace_back("p", Matrix::RandomNormal(1, n, &rng));
+    std::vector<Parameter*> ptrs;
+    for (Parameter& p : params) ptrs.push_back(&p);
+    Adam adam(ptrs, 1e-3f);
+    std::vector<double> norms;
+    for (int step = 0; step < 3; ++step) {
+      double serial = 0.0;
+      for (Parameter& p : params) {
+        p.grad = Matrix::RandomNormal(1, p.value.cols(), &rng, 0.0f, 0.05f);
+        serial += p.grad.SquaredNorm();
+      }
+      // Step 1 clips (norm well above 1), the others do not.
+      const double norm = adam.ClipGradNorm(step == 1 ? 1.0 : 1e9);
+      ASSERT_EQ(norm, std::sqrt(serial)) << "threads=" << threads;
+      norms.push_back(norm);
+      adam.Step();
+    }
+    std::vector<float> values;
+    for (Parameter& p : params) {
+      values.insert(values.end(), p.value.data(),
+                    p.value.data() + p.value.size());
+    }
+    if (threads == 1) {
+      first_values = values;
+      first_norms = norms;
+      continue;
+    }
+    EXPECT_EQ(norms, first_norms) << "threads=" << threads;
+    ASSERT_EQ(values.size(), first_values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(values[i]),
+                std::bit_cast<uint32_t>(first_values[i]))
+          << "threads=" << threads << " element=" << i;
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
 TEST(OptimizerTest, ClipGradNormLeavesSmallGradients) {
   Parameter w("w", Matrix(1, 2, 0.0f));
   w.grad.at(0, 0) = 0.3f;

@@ -1,10 +1,13 @@
 #include "runtime/parallel_for.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,6 +279,36 @@ TEST(ParallelForCostTest, LargeTotalCostFansOutOnThePool) {
     covered.fetch_add(hi - lo);
   });
   EXPECT_EQ(covered.load(), 1 << 20);
+  EXPECT_EQ(RegionCount(), regions_before + 1);
+}
+
+// Items of uneven cost: the summed cost gates the region, and above the
+// floor every item is its own chunk, so one large item never shares one.
+TEST(ParallelForItemsTest, GatesOnTotalCostAndGivesEachItemAChunk) {
+  ThreadSettingGuard guard;
+  SetNumThreads(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  const int64_t regions_before = RegionCount();
+  std::vector<std::pair<int64_t, int64_t>> inline_calls;
+  ParallelForItems(0, 9, /*total_cost_ns=*/50'000.0,
+                   [&](int64_t lo, int64_t hi) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    inline_calls.emplace_back(lo, hi);
+  });
+  EXPECT_EQ(inline_calls, (std::vector<std::pair<int64_t, int64_t>>{{0, 9}}));
+  EXPECT_EQ(RegionCount(), regions_before);
+
+  std::mutex mu;
+  std::vector<std::pair<int64_t, int64_t>> chunks;
+  ParallelForItems(0, 9, /*total_cost_ns=*/1e6, [&](int64_t lo, int64_t hi) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.emplace_back(lo, hi);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  ASSERT_EQ(chunks.size(), 9u);
+  for (int64_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(chunks[i], std::make_pair(i, i + 1));
+  }
   EXPECT_EQ(RegionCount(), regions_before + 1);
 }
 
